@@ -24,7 +24,6 @@ All values are immutable; all operations are pure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,7 @@ from .errors import (
     RealizationResidue,
 )
 from .gershgorin import real_projection
-from .graph import LaplacianSpectrum
+from .graph import LaplacianSpectrum, _freeze
 
 __all__ = [
     "ModalDecomposition",
@@ -58,12 +57,6 @@ __all__ = [
 _CONDITION_LIMIT = 1e12
 _HURWITZ_THRESHOLD = -1e-9  # strict negativity under floating point
 _PAIR_TOL = 1e-8            # conjugate-pair matching tolerance (relative)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +550,20 @@ class ModeAnalysis:
     overall_hurwitz: bool
 
 
+def _mode_spectra(A, H_eff, sigma: float, lambdas) -> np.ndarray:
+    """Eigenvalues of ``A + sigma * lambda * H_eff`` for every lambda, as
+    rows of one array computed by a single stacked eigensolve."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    H = np.atleast_2d(np.asarray(H_eff, dtype=float))
+    scaled = sigma * np.asarray(lambdas, dtype=complex)
+    try:
+        return np.linalg.eigvals(A + scaled[:, None, None] * H)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(
+            f"mode eigendecomposition failed: {exc}"
+        ) from exc
+
+
 def verify(A, H_eff, sigma: float, lap_spectrum: LaplacianSpectrum) -> ModeAnalysis:
     """Check every transverse mode matrix for strict stability.
 
@@ -571,23 +578,19 @@ def verify(A, H_eff, sigma: float, lap_spectrum: LaplacianSpectrum) -> ModeAnaly
         raise DimensionMismatch(f"A {A.shape} and H_eff {H.shape} must match square")
     if sigma <= 0.0:
         raise PreconditionViolation("sigma must be positive")
-    records = []
-    for k, lam in enumerate(lap_spectrum.eigenvalues[1:], start=2):
-        mode_matrix = A + sigma * complex(lam) * H
-        try:
-            vals = np.linalg.eigvals(mode_matrix)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailure(
-                f"mode {k} eigendecomposition failed: {exc}"
-            ) from exc
-        records.append(ModeRecord(
+    lambdas = lap_spectrum.eigenvalues[1:]
+    records = tuple(
+        ModeRecord(
             k=k,
             laplacian_eigenvalue=complex(lam),
             eigenvalues=_freeze(vals),
             max_real_part=float(vals.real.max()),
-        ))
+        )
+        for k, (lam, vals) in enumerate(
+            zip(lambdas, _mode_spectra(A, H, sigma, lambdas)), start=2)
+    )
     hurwitz = all(r.max_real_part < _HURWITZ_THRESHOLD for r in records)
-    return ModeAnalysis(modes=tuple(records), overall_hurwitz=hurwitz)
+    return ModeAnalysis(modes=records, overall_hurwitz=hurwitz)
 
 
 def design_report(spec: ModalCouplingSpec | None,
@@ -632,10 +635,5 @@ def stiffest_mode_modulus(A, H_eff, sigma: float,
     Integrator step-size guard: explicit fixed-step schemes need
     ``modulus * dt`` comfortably inside their stability region.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    H = np.atleast_2d(np.asarray(H_eff, dtype=float))
-    worst = 0.0
-    for lam in lap_spectrum.eigenvalues:
-        vals = np.linalg.eigvals(A + sigma * complex(lam) * H)
-        worst = max(worst, float(np.abs(vals).max(initial=0.0)))
-    return worst
+    vals = _mode_spectra(A, H_eff, sigma, lap_spectrum.eigenvalues)
+    return float(np.abs(vals).max(initial=0.0))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -174,6 +174,18 @@ def _check_x0(x0, n_nodes: int, node_dim: int) -> np.ndarray:
     return x0
 
 
+def _warn_if_stiff(A, H_eff, sigma: float, laplacian: Laplacian,
+                   dt: float) -> None:
+    """Warn when the stiffest mode modulus times dt reaches the limit."""
+    worst = stiffest_mode_modulus(A, H_eff, sigma, spectrum(laplacian))
+    if worst * dt >= _STABILITY_LIMIT:
+        warnings.warn(
+            f"stiffest mode modulus {worst:.3g} * dt {dt:.3g} = "
+            f"{worst * dt:.3g} >= {_STABILITY_LIMIT}; expect instability",
+            stacklevel=3,
+        )
+
+
 def simulate_linear(sys: LinearNetworkSystem, x0, t_end: float,
                     dt: float) -> Trajectory:
     """Integrate the Laplacian-coupled linear network.
@@ -184,14 +196,7 @@ def simulate_linear(sys: LinearNetworkSystem, x0, t_end: float,
     """
     x0 = _check_x0(x0, sys.n_nodes, sys.node_dim)
     times = _time_grid(t_end, dt)
-    worst = stiffest_mode_modulus(sys.A, sys.H_eff, sys.sigma,
-                                  spectrum(sys.laplacian))
-    if worst * dt >= _STABILITY_LIMIT:
-        warnings.warn(
-            f"stiffest mode modulus {worst:.3g} * dt {dt:.3g} = "
-            f"{worst * dt:.3g} >= {_STABILITY_LIMIT}; expect instability",
-            stacklevel=2,
-        )
+    _warn_if_stiff(sys.A, sys.H_eff, sys.sigma, sys.laplacian, dt)
     A_T = sys.A.T.copy()
     H_T = sys.H_eff.T.copy()
     L = sys.laplacian.matrix
@@ -221,18 +226,11 @@ def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
     L = laplacian.matrix
     adjacency = -(L - np.diag(np.diag(L)))
     degrees = adjacency.sum(axis=1)
-    BK_T = (model.B @ model.K).T.copy()
+    BK = model.B @ model.K
+    BK_T = BK.T.copy()
     A_T = model.A.T.copy()
     c = model.c
-
-    worst = stiffest_mode_modulus(model.A, model.B @ model.K, c,
-                                  spectrum(laplacian))
-    if worst * dt >= _STABILITY_LIMIT:
-        warnings.warn(
-            f"stiffest mode modulus {worst:.3g} * dt {dt:.3g} = "
-            f"{worst * dt:.3g} >= {_STABILITY_LIMIT}; expect instability",
-            stacklevel=2,
-        )
+    _warn_if_stiff(model.A, BK, c, laplacian, dt)
 
     def rhs(X):
         consensus_error = degrees[:, None] * X - adjacency @ X

@@ -25,9 +25,10 @@ from __future__ import annotations
 import importlib.resources
 import json
 import os
+import pathlib
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,8 +50,6 @@ from .duality import (
 )
 from .dynamics import (
     NonlinearCouplingSpec,
-    SyncReport,
-    Trajectory,
     build_three_oscillator,
     component_settle_times,
     design_nonlinear_coupling,
@@ -108,30 +107,58 @@ class ScenarioResult:
     sync_reports: dict = field(default_factory=dict)
 
 
-def _initial_states(rng: np.random.Generator, n_nodes: int,
-                    node_dim: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, (n_nodes, node_dim))
+def _linear_setup(fixture: str, seed: int):
+    """Fixture, node dynamic A, Laplacian, its spectrum and the seeded
+    initial states of a linear scenario."""
+    fx = load_fixture(fixture)
+    A = np.array(fx["A"], dtype=float)
+    lap = Laplacian(np.array(fx["laplacian"], dtype=float))
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                             (lap.n_nodes, A.shape[0]))
+    return fx, A, lap, spectrum(lap), x0
 
 
-def _variant_summary(report: SyncReport, traj: Trajectory,
-                     settle: tuple) -> dict:
+def _summarize_variants(trajectories: dict):
+    """Sync reports and JSON summaries, keyed like ``trajectories``, of
+    linear runs judged at LINEAR_SYNC_TOL."""
+    reports, variants = {}, {}
+    for key, traj in trajectories.items():
+        report = reports[key] = sync_error(traj, LINEAR_SYNC_TOL)
+        variants[key] = {
+            "sync_time": report.sync_time,
+            "converged": report.converged,
+            "final_error": report.final_error,
+            "diverged": traj.diverged,
+            "component_settle_times": list(
+                component_settle_times(traj, LINEAR_SYNC_TOL)),
+        }
+    return reports, variants
+
+
+def _fixture_residuals(fx: dict, realized: dict) -> dict:
+    """Largest entrywise gap between each realized H_eff and its fixture."""
     return {
-        "sync_time": report.sync_time,
-        "converged": report.converged,
-        "final_error": report.final_error,
-        "diverged": traj.diverged,
-        "component_settle_times": list(settle),
+        key: float(np.abs(mats.H_eff - np.array(fx[key], dtype=float)).max())
+        for key, mats in realized.items()
     }
+
+
+def _consensus_design(B, K, c: float, H_paper, analysis,
+                      residual: float) -> dict:
+    """Design report of the gain-derived coupling H_paper = -B K."""
+    report = design_report(
+        None, CouplingMatrices(H_eff=-H_paper, H_paper=H_paper), analysis,
+        sigma=c)
+    report.update({"K": K.tolist(), "B": B.tolist(), "c": c,
+                   "residual": residual})
+    return report
 
 
 def run_example1(seed: int = DEFAULT_SEED, t_end: float = 6.0,
                  dt: float = 1e-3) -> ScenarioResult:
     """Five-node path: uniform coupling, a strengthened ramp pair, and a
     weakened variant; all three must synchronize in every component."""
-    fx = load_fixture("example1")
-    A = np.array(fx["A"], dtype=float)
-    lap = Laplacian(np.array(fx["laplacian"], dtype=float))
-    lap_spec = spectrum(lap)
+    fx, A, lap, lap_spec, x0 = _linear_setup("example1", seed)
     decomp = decompose(A)
 
     base = float(fx["modal_level_base"])
@@ -145,19 +172,14 @@ def run_example1(seed: int = DEFAULT_SEED, t_end: float = 6.0,
     }
     analysis = verify(A, realized["H1"].H_eff, 1.0, lap_spec)
 
-    rng = np.random.default_rng(seed)
-    x0 = _initial_states(rng, lap.n_nodes, A.shape[0])
-    trajectories, reports, variants = {}, {}, {}
-    for key in ("H1", "H2", "H3"):
-        H = np.array(fx[key], dtype=float)
-        sys = LinearNetworkSystem(A=A, H_eff=H, sigma=1.0, laplacian=lap)
-        traj = simulate_linear(sys, x0, t_end, dt)
-        report = sync_error(traj, LINEAR_SYNC_TOL)
-        settle = component_settle_times(traj, LINEAR_SYNC_TOL)
-        trajectories[key] = traj
-        reports[key] = report
-        variants[key] = _variant_summary(report, traj, settle)
-
+    trajectories = {
+        key: simulate_linear(
+            LinearNetworkSystem(A=A, H_eff=np.array(fx[key], dtype=float),
+                                sigma=1.0, laplacian=lap),
+            x0, t_end, dt)
+        for key in ("H1", "H2", "H3")
+    }
+    reports, variants = _summarize_variants(trajectories)
     verdict = (
         analysis.overall_hurwitz
         and all(v["converged"] for v in variants.values())
@@ -168,11 +190,7 @@ def run_example1(seed: int = DEFAULT_SEED, t_end: float = 6.0,
     summary = {
         "lambda2": lap_spec.lambda2.real,
         "hurwitz": analysis.overall_hurwitz,
-        "realization_residual": {
-            key: float(np.abs(realized[key].H_eff
-                              - np.array(fx[key], dtype=float)).max())
-            for key in realized
-        },
+        "realization_residual": _fixture_residuals(fx, realized),
         "variants": variants,
     }
     return ScenarioResult(
@@ -186,124 +204,83 @@ def run_example2(seed: int = DEFAULT_SEED, t_end: float = 20.0,
                  dt: float = 1e-3) -> ScenarioResult:
     """Directed topology: two complex modal designs (smaller and larger
     argument margin); both must synchronize."""
-    fx = load_fixture("example2")
-    A = np.array(fx["A"], dtype=float)
-    lap = Laplacian(np.array(fx["laplacian"], dtype=float))
-    lap_spec = spectrum(lap)
+    fx, A, lap, lap_spec, x0 = _linear_setup("example2", seed)
     decomp = decompose(A)
 
     # Pole request that sets the modal real parts to -1, matching the
     # fixture designs' moduli at their recorded arguments.
     poles = [-lap_spec.lambda2.real] * decomp.n
-    designs = {}
+    specs, realized, analyses, trajectories = {}, {}, {}, {}
     for key in ("H4", "H5"):
-        spec = design_directed(
+        specs[key] = design_directed(
             decomp, lap_spec.lambda2, lap_spec.theta_max,
             argument=np.radians(fx[f"{key}_argument_deg"]), poles=poles,
         )
-        designs[key] = (spec, realize(spec, decomp))
-
-    rng = np.random.default_rng(seed)
-    x0 = _initial_states(rng, lap.n_nodes, A.shape[0])
-    trajectories, reports, variants = {}, {}, {}
-    hurwitz = {}
-    for key, (spec, mats) in designs.items():
-        analysis = verify(A, mats.H_eff, 1.0, lap_spec)
-        hurwitz[key] = analysis.overall_hurwitz
+        mats = realized[key] = realize(specs[key], decomp)
+        analyses[key] = verify(A, mats.H_eff, 1.0, lap_spec)
         sys = LinearNetworkSystem(A=A, H_eff=mats.H_eff, sigma=1.0,
                                   laplacian=lap)
-        traj = simulate_linear(sys, x0, t_end, dt)
-        report = sync_error(traj, LINEAR_SYNC_TOL)
-        trajectories[key] = traj
-        reports[key] = report
-        variants[key] = _variant_summary(
-            report, traj, component_settle_times(traj, LINEAR_SYNC_TOL))
+        trajectories[key] = simulate_linear(sys, x0, t_end, dt)
 
+    reports, variants = _summarize_variants(trajectories)
+    hurwitz = {key: a.overall_hurwitz for key, a in analyses.items()}
     verdict = (all(hurwitz.values())
                and all(v["converged"] for v in variants.values()))
-    spec4, mats4 = designs["H4"]
     summary = {
         "lambda2": [lap_spec.lambda2.real, lap_spec.lambda2.imag],
         "theta_max_deg": float(np.degrees(lap_spec.theta_max)),
         "hurwitz": hurwitz,
-        "realization_residual": {
-            key: float(np.abs(designs[key][1].H_eff
-                              - np.array(fx[key], dtype=float)).max())
-            for key in designs
-        },
+        "realization_residual": _fixture_residuals(fx, realized),
         "variants": variants,
     }
     return ScenarioResult(
         name="example2", verdict=verdict, summary=summary,
-        design=design_report(spec4, mats4, verify(A, mats4.H_eff, 1.0, lap_spec)),
+        design=design_report(specs["H4"], realized["H4"], analyses["H4"]),
         trajectories=trajectories, sync_reports=reports,
     )
-
-
-def _consensus_variant(A, lap, lap_spec, B, K, c, x0, t_end, dt):
-    H_paper = h_from_gain(B, K)
-    H_eff = -H_paper
-    analysis = verify(A, H_eff, c, lap_spec)
-    model = AgentModel(A=A, B=B, K=K, c=c)
-    traj = simulate_agents(model, lap, x0, t_end, dt)
-    report = sync_error(traj, LINEAR_SYNC_TOL)
-    return H_paper, analysis, traj, report
 
 
 def run_example3(seed: int = DEFAULT_SEED, t_end: float = 60.0,
                  dt: float = 1e-3) -> ScenarioResult:
     """Consensus-gain coupling on the six-node topology: both input
     matrices must synchronize, the alternative one strictly faster."""
-    fx = load_fixture("example3")
-    A = np.array(fx["A"], dtype=float)
-    lap = Laplacian(np.array(fx["laplacian"], dtype=float))
-    lap_spec = spectrum(lap)
+    fx, A, lap, lap_spec, x0 = _linear_setup("example3", seed)
     K = np.array(fx["K"], dtype=float)
     c = float(fx["c"])
 
-    rng = np.random.default_rng(seed)
-    x0 = _initial_states(rng, lap.n_nodes, A.shape[0])
-    trajectories, reports, variants = {}, {}, {}
-    extras = {}
+    trajectories, details, designs = {}, {}, {}
     for key, b_key in (("H6", "B"), ("H7", "B_alt")):
         B = np.array(fx[b_key], dtype=float)
-        H_paper, analysis, traj, report = _consensus_variant(
-            A, lap, lap_spec, B, K, c, x0, t_end, dt)
-        trajectories[key] = traj
-        reports[key] = report
-        variants[key] = _variant_summary(
-            report, traj, component_settle_times(traj, LINEAR_SYNC_TOL))
-        extras[key] = {
+        H_paper = h_from_gain(B, K)
+        analysis = verify(A, -H_paper, c, lap_spec)
+        model = AgentModel(A=A, B=B, K=K, c=c)
+        trajectories[key] = simulate_agents(model, lap, x0, t_end, dt)
+        designs[key] = (B, H_paper, analysis)
+        details[key] = {
             "hurwitz": analysis.overall_hurwitz,
             "H_paper_matches_fixture": bool(np.allclose(
                 H_paper, np.array(fx[key], dtype=float), atol=1e-12)),
             "controllability_rank": controllability(A, B),
         }
 
+    reports, variants = _summarize_variants(trajectories)
     both_converged = all(v["converged"] for v in variants.values())
     ordering = (both_converged
                 and variants["H7"]["sync_time"] < variants["H6"]["sync_time"])
     verdict = (both_converged and ordering
-               and all(e["hurwitz"] for e in extras.values()))
+               and all(d["hurwitz"] for d in details.values()))
 
-    B6 = np.array(fx["B"], dtype=float)
-    mats6 = CouplingMatrices(H_eff=B6 @ K, H_paper=-(B6 @ K))
-    report6 = design_report(None, mats6, verify(A, mats6.H_eff, c, lap_spec),
-                            sigma=c)
-    report6.update({
-        "K": K.tolist(),
-        "B": B6.tolist(),
-        "c": c,
-        "residual": recovery_residual(B6, mats6.H_paper, K),
-    })
+    B6, H6_paper, analysis6 = designs["H6"]
     summary = {
         "lambda2": lap_spec.lambda2.real,
         "fast_variant_faster": ordering,
-        "details": extras,
+        "details": details,
         "variants": variants,
     }
     return ScenarioResult(
-        name="example3", verdict=verdict, summary=summary, design=report6,
+        name="example3", verdict=verdict, summary=summary,
+        design=_consensus_design(B6, K, c, H6_paper, analysis6,
+                                 recovery_residual(B6, H6_paper, K)),
         trajectories=trajectories, sync_reports=reports,
     )
 
@@ -312,48 +289,34 @@ def run_example4(seed: int = DEFAULT_SEED, t_end: float = 60.0,
                  dt: float = 1e-3) -> ScenarioResult:
     """Gain recovery: K = -B^+ H from the example3 coupling matrix must
     reproduce the original gain and close the loop to consensus."""
-    fx = load_fixture("example3")
-    A = np.array(fx["A"], dtype=float)
-    lap = Laplacian(np.array(fx["laplacian"], dtype=float))
-    lap_spec = spectrum(lap)
+    fx, A, lap, lap_spec, x0 = _linear_setup("example3", seed)
     B = np.array(fx["B"], dtype=float)
     H6_paper = np.array(fx["H6"], dtype=float)
-    K_expected = np.array(fx["K"], dtype=float)
+    c = float(fx["c"])
 
     K_rec = gain_from_h(B, H6_paper)
     residual = recovery_residual(B, H6_paper, K_rec)
     rank = controllability(A, B)
-    gain_error = float(np.abs(K_rec - K_expected).max())
+    gain_error = float(np.abs(K_rec - np.array(fx["K"], dtype=float)).max())
 
-    rng = np.random.default_rng(seed)
-    x0 = _initial_states(rng, lap.n_nodes, A.shape[0])
-    c = float(fx["c"])
     model = AgentModel(A=A, B=B, K=K_rec, c=c)
-    traj = simulate_agents(model, lap, x0, t_end, dt)
-    report = sync_error(traj, LINEAR_SYNC_TOL)
+    trajectories = {"recovered": simulate_agents(model, lap, x0, t_end, dt)}
+    reports, variants = _summarize_variants(trajectories)
 
     verdict = (gain_error <= 1e-9 and residual <= 1e-9
-               and rank == A.shape[0] and report.converged)
-    mats = CouplingMatrices(H_eff=-H6_paper, H_paper=H6_paper)
-    design = design_report(None, mats, verify(A, -H6_paper, c, lap_spec),
-                           sigma=c)
-    design.update({
-        "K": K_rec.tolist(),
-        "B": B.tolist(),
-        "c": c,
-        "residual": residual,
-    })
+               and rank == A.shape[0] and reports["recovered"].converged)
     summary = {
         "recovered_gain": K_rec.tolist(),
         "gain_error": gain_error,
         "recovery_residual": residual,
         "controllability_rank": rank,
-        "variants": {"recovered": _variant_summary(
-            report, traj, component_settle_times(traj, LINEAR_SYNC_TOL))},
+        "variants": variants,
     }
     return ScenarioResult(
-        name="example4", verdict=verdict, summary=summary, design=design,
-        trajectories={"recovered": traj}, sync_reports={"recovered": report},
+        name="example4", verdict=verdict, summary=summary,
+        design=_consensus_design(B, K_rec, c, H6_paper,
+                                 verify(A, -H6_paper, c, lap_spec), residual),
+        trajectories=trajectories, sync_reports=reports,
     )
 
 
@@ -454,15 +417,25 @@ def run_rossler(baseline: bool = False, eps: float | None = None,
     )
 
 
+# ``reproduce`` choices, each run by ``run_<name>``; ``reproduce all`` runs
+# them in this order and then the rossler baseline.
 SCENARIO_NAMES = ("example1", "example2", "example3", "example4", "rossler")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def dump_json(obj) -> str:
+    """Deterministic JSON text: sorted keys, two-space indent, newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _atomic_write(path: str, write) -> None:
+    """Create ``path`` atomically: ``write(tmp)`` fills a temporary file
+    in the same directory, which then replaces ``path``; on failure the
+    temporary file is removed."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -470,8 +443,9 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def atomic_write_text(path: str, text: str) -> None:
+    _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(
+        text, encoding="utf-8"))
 
 
 def write_artifacts(result: ScenarioResult, out_dir) -> list:
@@ -489,31 +463,17 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
     written = []
 
     for variant, traj in result.trajectories.items():
-        csv_path = os.path.join(scenario_dir, f"{variant}_trajectory.csv")
-        fd, tmp = tempfile.mkstemp(dir=scenario_dir, suffix=".tmp")
-        os.close(fd)
-        try:
-            write_trajectory_csv(traj, tmp)
-            os.replace(tmp, csv_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        written.append(csv_path)
-
-    for variant, report in result.sync_reports.items():
-        path = os.path.join(scenario_dir, f"{variant}_sync_report.json")
-        atomic_write_text(path, _dump_json(sync_report_dict(report)))
+        path = os.path.join(scenario_dir, f"{variant}_trajectory.csv")
+        _atomic_write(path, lambda tmp: write_trajectory_csv(traj, tmp))
         written.append(path)
 
+    documents = {f"{variant}_sync_report.json": sync_report_dict(report)
+                 for variant, report in result.sync_reports.items()}
     if result.design is not None:
-        path = os.path.join(scenario_dir, "design_report.json")
-        atomic_write_text(path, _dump_json(result.design))
+        documents["design_report.json"] = result.design
+    documents["summary.json"] = {**result.summary, "verdict": result.verdict}
+    for filename, obj in documents.items():
+        path = os.path.join(scenario_dir, filename)
+        atomic_write_text(path, dump_json(obj))
         written.append(path)
-
-    summary = dict(result.summary)
-    summary["verdict"] = result.verdict
-    path = os.path.join(scenario_dir, "summary.json")
-    atomic_write_text(path, _dump_json(summary))
-    written.append(path)
     return written

@@ -6,12 +6,14 @@ and byte-identical outputs for identical configurations.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import netsync
 from netsync.cli import main
 from netsync.scenarios import load_fixture
 
@@ -259,6 +261,14 @@ def test_reproduce_flag_validation(tmp_path, capsys):
     assert main(["reproduce", "example1", "--seed", "-1", "--out", out]) == 2
     assert main(["reproduce", "example1", "--t-end", "0", "--out", out]) == 2
     assert main(["reproduce", "example1", "--dt", "-0.1", "--out", out]) == 2
+    assert main(["reproduce", "example1", "--t-end", "nan", "--out", out]) == 2
+    assert main(["reproduce", "example1", "--t-end", "inf", "--out", out]) == 2
+    assert main(["reproduce", "example1", "--dt", "nan", "--out", out]) == 2
+    assert main(["reproduce", "example1", "--dt", "2", "--t-end", "1",
+                 "--out", out]) == 2
+    assert main(["reproduce", "example4", "--baseline", "--out", out]) == 2
+    assert "InvalidInput: --baseline applies to rossler only" in (
+        capsys.readouterr().err)
 
 
 def test_reproduce_all_dispatch_and_aggregation(tmp_path, monkeypatch, capsys):
@@ -285,9 +295,13 @@ def test_reproduce_all_dispatch_and_aggregation(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child process imports the same netsync as this one, installed or not
+    src = os.path.dirname(os.path.dirname(netsync.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "netsync.cli", "--help"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "reproduce" in proc.stdout

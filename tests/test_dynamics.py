@@ -76,6 +76,10 @@ def test_stiffness_warning():
                               sigma=1.0, laplacian=PAIR_LAPLACIAN)
     with pytest.warns(UserWarning, match="stiffest"):
         simulate_linear(sys, np.array([[1.0], [0.0]]), 10.0, 2.0)
+    model = AgentModel(A=np.zeros((1, 1)), B=np.eye(1), K=-np.eye(1), c=1.0)
+    with pytest.warns(UserWarning, match="stiffest"):
+        simulate_agents(model, PAIR_LAPLACIAN, np.array([[1.0], [0.0]]),
+                        10.0, 2.0)
 
 
 def test_divergence_is_flagged_not_raised():
