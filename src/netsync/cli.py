@@ -67,7 +67,15 @@ def _load_matrix(path) -> np.ndarray:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise InvalidInput(f"{path} must hold a 2-D array")
+    if not np.isfinite(m).all():
+        raise InvalidInput(f"{path} has non-finite entries")
     return m
+
+
+def _require_positive(flag: str, value) -> None:
+    """Reject a numeric flag that is not finite and positive."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise InvalidInput(f"{flag} must be positive and finite")
 
 
 def _emit(payload: dict, out_dir, filename: str) -> None:
@@ -110,6 +118,7 @@ def _parse_poles(text, n: int):
 
 
 def _cmd_design(args) -> int:
+    _require_positive("--sigma", args.sigma)
     A = _load_matrix(args.A)
     topology = load_topology(args.topology)
     if args.mode == "undirected" and topology.directed:
@@ -151,7 +160,11 @@ def _cmd_dualize(args) -> int:
     if args.direction == "gain-to-h":
         if args.K is None:
             raise InvalidInput("gain-to-h requires --K")
-        K = _load_matrix(args.K).reshape(B.shape[1], -1)
+        K = _load_matrix(args.K)
+        if K.shape != (B.shape[1], B.shape[0]):
+            raise InvalidInput(
+                f"K must be {B.shape[1]} x {B.shape[0]} to fit B "
+                f"{B.shape[0]} x {B.shape[1]}, got {K.shape[0]} x {K.shape[1]}")
         H_paper = h_from_gain(B, K)
         payload.update({
             "K": K.tolist(),
@@ -184,8 +197,8 @@ def _cmd_reproduce(args) -> int:
     if args.seed < 0:
         raise InvalidInput("--seed must be a nonnegative integer")
     for flag, value in (("--t-end", args.t_end), ("--dt", args.dt)):
-        if value is not None and not (np.isfinite(value) and value > 0.0):
-            raise InvalidInput(f"{flag} must be positive and finite")
+        if value is not None:
+            _require_positive(flag, value)
     if args.t_end is not None and args.dt is not None and args.dt > args.t_end:
         raise InvalidInput("--dt must not exceed --t-end")
     if args.baseline and args.name != "rossler":

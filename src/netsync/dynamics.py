@@ -1,7 +1,7 @@
 """Time-domain simulation and synchronization metrics.
 
-Three simulators share one classical fixed-step 4th-order Runge-Kutta
-core (reproducibility beats adaptive stepping for regression runs):
+Three simulators, all classical fixed-step 4th-order Runge-Kutta
+(reproducibility beats adaptive stepping for regression runs):
 
 * :func:`simulate_linear`, the Laplacian-coupled linear network
   ``dx/dt = (I (x) A) x + sigma (L (x) H_eff) x``;
@@ -13,6 +13,15 @@ core (reproducibility beats adaptive stepping for regression runs):
 * :func:`simulate_nonlinear`, node dynamics F with diffusive
   state-dependent coupling ``sum_j G_ij M(x_j) x_j`` over a zero-row-sum
   connection matrix G (the chaotic three-oscillator probe lives here).
+
+The nonlinear simulator steps RK4 one state at a time.  The two linear
+simulators share a propagator instead: one RK4 step of the simulator's
+own right-hand side, taken from a basis, is the linear one-step map;
+rewritten in node-mean / disagreement coordinates (the synchronous and
+transverse modes) its powers advance the run a block of steps per
+matrix product.  The disagreement evolves in a closed block, so the
+cross-node spread the metrics read stays at its own scale when the
+common mode grows without bound.
 
 A non-finite state truncates the trajectory at the last finite step and
 flags it; a divergent run still produces a synchronization report.
@@ -29,7 +38,7 @@ import numpy as np
 
 from .coupling import stiffest_mode_modulus
 from .duality import AgentModel
-from .errors import DimensionMismatch, PreconditionViolation
+from .errors import DimensionMismatch, InvalidInput, PreconditionViolation
 from .graph import Laplacian, spectrum
 
 __all__ = [
@@ -54,6 +63,12 @@ __all__ = [
 
 # |stiffest eigenvalue| * dt beyond which explicit RK4 is warned about.
 _STABILITY_LIMIT = 2.5
+# Entries of the stacked propagator powers [Z, ..., Z^s] of the linear
+# simulators: bounds their memory and the work of one block of steps.
+_BLOCK_ELEMENTS = 1 << 16
+# Entries of one chunk of basis states stepped to build the one-step map;
+# small chunks keep the RK4 temporaries far below one propagator.
+_BASIS_CHUNK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -92,16 +107,23 @@ class Trajectory:
     """Simulated node states on a uniform time grid.
 
     states[t, i, :] is node i at times[t].  ``diverged`` marks a run
-    truncated at the last finite step.
+    truncated at the last finite step.  ``spread[t, c]``, when set, is
+    the cross-node spread ``max_i x_i[c] - min_i x_i[c]`` at times[t]
+    computed from the disagreement coordinates; the metrics read it in
+    place of the spread of the states.
     """
 
     times: np.ndarray
     states: np.ndarray
     diverged: bool = False
+    spread: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.times.shape[0] != self.states.shape[0]:
             raise DimensionMismatch("times and states lengths differ")
+        if self.spread is not None and self.spread.shape != (
+                self.states.shape[0], self.states.shape[2]):
+            raise DimensionMismatch("spread must be (times, node_dim)")
 
     @property
     def n_nodes(self) -> int:
@@ -137,7 +159,11 @@ def _time_grid(t_end: float, dt: float) -> np.ndarray:
     if dt > t_end:
         raise PreconditionViolation("dt must not exceed t_end")
     steps = int(round(t_end / dt))
-    return dt * np.arange(steps + 1)
+    try:
+        return dt * np.arange(steps + 1)
+    except ValueError as exc:
+        raise InvalidInput(
+            f"t_end / dt = {steps:.3g} steps: {exc}") from exc
 
 
 def _integrate_rk4(rhs: Callable[[np.ndarray], np.ndarray],
@@ -163,6 +189,75 @@ def _integrate_rk4(rhs: Callable[[np.ndarray], np.ndarray],
                                   states=out[:k + 1].copy(), diverged=True)
             out[k + 1] = X
     return Trajectory(times=times, states=out)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
+                      x0: np.ndarray, times: np.ndarray) -> Trajectory:
+    """RK4 over a uniform grid for a linear, zero-row-sum coupled network.
+
+    rhs must be linear, accept a leading batch axis, and vanish on the
+    coupling of identical rows (``L 1 = 0``).  Its RK4 one-step map is
+    built by stepping basis states with :func:`_integrate_rk4`, then
+    rewritten in the coordinates ``y = (xbar, e)``: the node mean xbar
+    and the disagreement ``e = x - 1 xbar``.  Since the coupling
+    annihilates ``1 xbar``, e evolves under its own closed block and the
+    rounding noise of a large xbar never enters it.  Runs advance a
+    block of s steps per product ``y @ [Z, Z^2, ..., Z^s]``; each block
+    writes ``x = 1 xbar + e`` and the spread of e, and the first
+    non-finite x truncates the run as in :func:`_integrate_rk4`.
+    """
+    N, n = x0.shape
+    D = N * n
+    m = n + D
+    T = times.shape[0]
+    s = max(1, min(T - 1, _BLOCK_ELEMENTS // (m * m)))
+    # powers[:, (j-1) m : j m] is Z^j; y_{k+1} = y_k Z, row convention
+    powers = np.zeros((m, s * m))
+    Z = powers[:, :m]
+    P = Z[n:, n:]
+    chunk = max(1, _BASIS_CHUNK_ELEMENTS // D)
+    for j in range(0, D, chunk):
+        rows = min(chunk, D - j)
+        basis = np.eye(rows, D, j).reshape(rows, N, n)
+        step = _integrate_rk4(rhs, basis, times[:2])
+        P[j:j + rows] = (np.inf if step.diverged
+                         else step.states[1].reshape(rows, D))
+    # e -> xbar is the node mean of the step; e -> e removes it; xbar ->
+    # xbar is the step of the mean alone; xbar -> e is exactly zero
+    Z[n:, :n] = P.reshape(D, N, n).mean(axis=1)
+    P.reshape(D, N, n)[...] -= Z[n:, None, :n]
+    Z[:n, :n] = Z[n:, :n].reshape(N, n, n).sum(axis=0)
+    j = 1
+    while j < s:
+        r = min(j, s - j)
+        powers[:, j * m:(j + r) * m] = (powers[:, (j - 1) * m:j * m]
+                                        @ powers[:, :r * m])
+        j += r
+
+    states = np.empty((T, N, n))
+    spread = np.empty((T, n))
+    mean = x0.mean(axis=0)
+    e = x0 - mean
+    states[0] = x0
+    spread[0] = e.max(axis=0) - e.min(axis=0)
+    y = np.concatenate([mean, e.ravel()])
+    k = 0
+    while k < T - 1:
+        b = min(s, T - 1 - k)
+        block = (y @ powers).reshape(s, m)[:b]
+        e = block[:, n:].reshape(b, N, n)
+        x = states[k + 1:k + 1 + b]
+        np.add(block[:, None, :n], e, out=x)
+        spread[k + 1:k + 1 + b] = e.max(axis=1) - e.min(axis=1)
+        if not np.isfinite(x).all():
+            last = k + int(np.argmin(np.isfinite(x).all(axis=(1, 2))))
+            return Trajectory(times=times[:last + 1].copy(),
+                              states=states[:last + 1].copy(),
+                              diverged=True, spread=spread[:last + 1].copy())
+        y = block[-1]
+        k += b
+    return Trajectory(times=times, states=states, spread=spread)
 
 
 def _check_x0(x0, n_nodes: int, node_dim: int) -> np.ndarray:
@@ -205,7 +300,7 @@ def simulate_linear(sys: LinearNetworkSystem, x0, t_end: float,
     def rhs(X):
         return X @ A_T + sigma * (L @ X) @ H_T
 
-    return _integrate_rk4(rhs, x0, times)
+    return _integrate_linear(rhs, x0, times)
 
 
 def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
@@ -236,7 +331,7 @@ def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
         consensus_error = degrees[:, None] * X - adjacency @ X
         return X @ A_T + c * consensus_error @ BK_T
 
-    return _integrate_rk4(rhs, x0, times)
+    return _integrate_linear(rhs, x0, times)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +554,14 @@ def _settle_time(errors: np.ndarray, times: np.ndarray,
     return float(times[above[-1] + 1])
 
 
+def _node_spread(traj: Trajectory) -> np.ndarray:
+    """Cross-node spread per sample and component: the trajectory's own
+    when the simulator recorded one, else that of the states."""
+    if traj.spread is not None:
+        return traj.spread
+    return traj.states.max(axis=1) - traj.states.min(axis=1)
+
+
 def sync_error(traj: Trajectory, tol: float) -> SyncReport:
     """Pairwise synchronization error and convergence verdict.
 
@@ -470,8 +573,7 @@ def sync_error(traj: Trajectory, tol: float) -> SyncReport:
         raise PreconditionViolation("trajectory is empty")
     if tol <= 0.0:
         raise PreconditionViolation("tol must be positive")
-    spread = traj.states.max(axis=1) - traj.states.min(axis=1)
-    errors = spread.max(axis=1)
+    errors = _node_spread(traj).max(axis=1)
     sync_time = _settle_time(errors, traj.times, tol)
     return SyncReport(
         error_series=errors,
@@ -490,7 +592,7 @@ def component_settle_times(traj: Trajectory, tol: float) -> tuple:
     """
     if tol <= 0.0:
         raise PreconditionViolation("tol must be positive")
-    spread = traj.states.max(axis=1) - traj.states.min(axis=1)
+    spread = _node_spread(traj)
     return tuple(
         _settle_time(spread[:, c], traj.times, tol)
         for c in range(traj.node_dim)

@@ -160,6 +160,21 @@ def test_reproduce_rossler_baseline_expected_verdict(tmp_path):
     assert report["converged"] is False
 
 
+def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
+                                                       tmp_path, capsys):
+    a_file = _write_json(tmp_path / "A.json", np.eye(2).tolist())
+    nan_file = tmp_path / "A_nan.json"
+    nan_file.write_text("[[1.0, NaN], [0.0, 1.0]]")
+    base = ["design", "--topology", path_topology_file, "--mode",
+            "undirected"]
+    for extra in (["--A", a_file, "--sigma", "0"],
+                  ["--A", a_file, "--sigma", "nan"],
+                  ["--A", a_file, "--sigma", "-1"],
+                  ["--A", str(nan_file)]):
+        assert main(base + extra) == 2, extra
+        assert "InvalidInput" in capsys.readouterr().err, extra
+
+
 # ── dualize ──────────────────────────────────────────────────────────────────
 
 
@@ -204,6 +219,20 @@ def test_dualize_rank_deficient_is_domain_error(tmp_path, capsys):
                  "--H", h_file])
     assert code == 1
     assert "RankDeficient" in capsys.readouterr().err
+
+
+def test_dualize_gain_not_fitting_b_is_usage_error(tmp_path, capsys):
+    # B is 2 x 1, so K must be 1 x 2: neither a size that does not divide
+    # nor a 1 x 3 gain (which would give a 2 x 3 H_eff) is accepted
+    b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
+    for name, K in (("odd", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                    ("wide", [[1.0, 2.0, 3.0]]),
+                    ("column", [[1.0], [0.9]])):
+        k_file = _write_json(tmp_path / f"K_{name}.json", K)
+        code = main(["dualize", "--direction", "gain-to-h", "--B", b_file,
+                     "--K", k_file])
+        assert code == 2, name
+        assert "InvalidInput" in capsys.readouterr().err, name
 
 
 def test_dualize_missing_matrix_is_usage_error(tmp_path, capsys):
@@ -266,6 +295,10 @@ def test_reproduce_flag_validation(tmp_path, capsys):
     assert main(["reproduce", "example1", "--dt", "nan", "--out", out]) == 2
     assert main(["reproduce", "example1", "--dt", "2", "--t-end", "1",
                  "--out", out]) == 2
+    # a finite horizon whose grid cannot exist fails before allocating
+    assert main(["reproduce", "example1", "--t-end", "1e300",
+                 "--out", out]) == 2
+    assert "InvalidInput" in capsys.readouterr().err
     assert main(["reproduce", "example4", "--baseline", "--out", out]) == 2
     assert "InvalidInput: --baseline applies to rossler only" in (
         capsys.readouterr().err)

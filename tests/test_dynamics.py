@@ -11,6 +11,9 @@ Covers:
   - sync_error / component settle times / divergence flagging
   - trajectory CSV round-trip, stiffness warning, step-halving sanity,
     tail log-slope matching the slowest transverse mode
+  - the linear propagator against a per-step RK4 loop, its recorded
+    spread, truncation inside a block, and example3's verdict at a
+    horizon where the raw states reach 1e15
 """
 
 import csv
@@ -22,6 +25,7 @@ from helpers import random_connected_topology, relative_final_state_change
 
 from netsync import (
     AgentModel,
+    DimensionMismatch,
     Laplacian,
     LinearNetworkSystem,
     NonlinearCouplingSpec,
@@ -36,10 +40,12 @@ from netsync import (
     simulate_agents,
     simulate_linear,
     simulate_nonlinear,
+    Trajectory,
     sync_error,
     sync_report_dict,
     write_trajectory_csv,
 )
+from netsync.scenarios import run_example3
 
 PAIR_LAPLACIAN = Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -92,6 +98,97 @@ def test_divergence_is_flagged_not_raised():
     assert np.isfinite(traj.states).all()
     report = sync_error(traj, 1e-3)     # divergent runs still get a report
     assert not report.converged
+
+
+def _rk4_loop(f, x0, steps, dt):
+    """Reference: the classical RK4 step applied one step at a time."""
+    X, out = x0, [x0]
+    for _ in range(steps):
+        k1 = f(X)
+        k2 = f(X + 0.5 * dt * k1)
+        k3 = f(X + 0.5 * dt * k2)
+        k4 = f(X + dt * k3)
+        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(X)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_linear_simulators_match_per_step_rk4(directed):
+    rng = np.random.default_rng(21 + directed)
+    dt = 1e-3
+    for _ in range(4):
+        n, N = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        m = int(rng.integers(1, n + 1))
+        A = rng.normal(0, 1, (n, n))
+        B = rng.normal(0, 1, (n, m))
+        K = rng.normal(0, 1, (m, n))
+        c = float(rng.uniform(0.2, 1.5))
+        lap = build_laplacian(
+            random_connected_topology(rng, N, directed=directed))
+        L = lap.matrix
+        x0 = rng.uniform(-1, 1, (N, n))
+        ref = _rk4_loop(lambda X: X @ A.T + c * (L @ X) @ (B @ K).T,
+                        x0, 1000, dt)
+        runs = (
+            simulate_linear(LinearNetworkSystem(A=A, H_eff=B @ K, sigma=c,
+                                                laplacian=lap), x0, 1.0, dt),
+            simulate_agents(AgentModel(A=A, B=B, K=K, c=c), lap, x0, 1.0, dt),
+        )
+        for traj in runs:
+            assert traj.states.shape == ref.shape and not traj.diverged
+            assert (np.abs(traj.states - ref)
+                    <= 1e-9 * np.maximum(1.0, np.abs(ref))).all()
+
+
+def test_recorded_spread_matches_states_spread():
+    rng = np.random.default_rng(8)
+    A = rng.normal(0, 0.5, (3, 3))
+    lap = build_laplacian(random_connected_topology(rng, 5, directed=True))
+    sys = LinearNetworkSystem(A=A, H_eff=-np.eye(3), sigma=1.0, laplacian=lap)
+    traj = simulate_linear(sys, rng.uniform(-1, 1, (5, 3)), 2.0, 1e-3)
+    raw = traj.states.max(axis=1) - traj.states.min(axis=1)
+    assert traj.spread.shape == raw.shape
+    assert np.abs(traj.spread - raw).max() <= 1e-12
+    assert np.array_equal(sync_error(traj, 1e-3).error_series,
+                          traj.spread.max(axis=1))
+    with pytest.raises(DimensionMismatch):
+        Trajectory(times=traj.times, states=traj.states,
+                   spread=traj.spread[:-1])
+
+
+def test_divergence_inside_a_block_truncates_at_last_finite_state():
+    # mean 1 and disagreement +-1 grow alike by ~1.22 a step, so some
+    # step has both parts below the largest float and their sum above it
+    a, dt = 20.0, 1e-2
+    sys = LinearNetworkSystem(A=np.array([[a]]), H_eff=np.array([[-1e-6]]),
+                              sigma=1.0, laplacian=PAIR_LAPLACIAN)
+    traj = simulate_linear(sys, np.array([[0.0], [2.0]]), 50.0, dt)
+    assert traj.diverged
+    assert (traj.times.shape[0] == traj.states.shape[0]
+            == traj.spread.shape[0])
+    assert 1 < traj.times.shape[0] < 5001
+    assert np.isfinite(traj.states).all() and np.isfinite(traj.spread).all()
+    z = a * dt
+    growth = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    assert np.abs(traj.states[-1]).max() > np.finfo(float).max / growth
+
+
+def test_overflowing_step_map_diverges_at_first_step():
+    sys = LinearNetworkSystem(A=np.zeros((1, 1)), H_eff=np.array([[-1e100]]),
+                              sigma=1.0, laplacian=PAIR_LAPLACIAN)
+    with pytest.warns(UserWarning, match="stiffest"):
+        traj = simulate_linear(sys, np.array([[1.0], [0.0]]), 1.0, 0.1)
+    assert traj.diverged and traj.times.shape[0] == 1
+    assert np.array_equal(traj.states[0], [[1.0], [0.0]])
+
+
+def test_example3_verdict_holds_at_long_horizon():
+    # the unstable node dynamic (+0.366) drives the states to ~1e15 by
+    # t = 100, where max - min of the raw states is one ulp (2.0)
+    result = run_example3(t_end=100.0)
+    assert result.verdict
+    assert result.summary["variants"]["H6"]["final_error"] < 1e-9
 
 
 # ── agent simulator ──────────────────────────────────────────────────────────
