@@ -110,6 +110,8 @@ def _parse_poles(text, n: int):
         poles = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise InvalidInput(f"--poles must be comma-separated reals: {exc}") from exc
+    if not np.isfinite(poles).all():
+        raise InvalidInput("--poles must be finite")
     if len(poles) == 1:
         poles = poles * n
     if len(poles) != n:
@@ -119,6 +121,8 @@ def _parse_poles(text, n: int):
 
 def _cmd_design(args) -> int:
     _require_positive("--sigma", args.sigma)
+    if not np.isfinite(args.margin):
+        raise InvalidInput("--margin must be finite")
     A = _load_matrix(args.A)
     topology = load_topology(args.topology)
     if args.mode == "undirected" and topology.directed:
@@ -155,6 +159,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
+    _require_positive("--c", args.c)
     B = _load_matrix(args.B)
     payload: dict = {"B": B.tolist(), "c": args.c}
     if args.direction == "gain-to-h":
@@ -196,11 +201,6 @@ def _cmd_dualize(args) -> int:
 def _cmd_reproduce(args) -> int:
     if args.seed < 0:
         raise InvalidInput("--seed must be a nonnegative integer")
-    for flag, value in (("--t-end", args.t_end), ("--dt", args.dt)):
-        if value is not None:
-            _require_positive(flag, value)
-    if args.t_end is not None and args.dt is not None and args.dt > args.t_end:
-        raise InvalidInput("--dt must not exceed --t-end")
     if args.baseline and args.name != "rossler":
         raise InvalidInput("--baseline applies to rossler only")
     if args.name == "all":

@@ -108,23 +108,13 @@ class ModalDecomposition:
 
 
 def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
-    """Union-find grouping of eigenvalues closer than tol."""
-    n = values.shape[0]
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    return np.array([find(i) for i in range(n)])
+    """Label each eigenvalue with the lowest index it chains to through
+    steps of at most tol: the transitive closure of closeness, squared
+    until it covers paths of every length below n."""
+    reach = np.abs(values[:, None] - values[None, :]) <= tol
+    for _ in range(values.shape[0].bit_length()):
+        reach = reach @ reach
+    return reach.argmax(axis=1)
 
 
 def _block_modal_form(A: np.ndarray, cluster_tol: float):
@@ -142,12 +132,10 @@ def _block_modal_form(A: np.ndarray, cluster_tol: float):
     trexc = scipy.linalg.lapack.ztrexc
 
     # Reorder so each eigenvalue cluster occupies contiguous positions,
-    # clusters in order of first appearance on the Schur diagonal.
-    labels = _cluster_labels(np.diag(T), cluster_tol)
-    first = {}
-    for idx, lab in enumerate(labels):
-        first.setdefault(lab, idx)
-    target = sorted(range(n), key=lambda i: (first[labels[i]], i))
+    # clusters in order of first appearance on the Schur diagonal (a
+    # cluster's label is its first index).
+    target = np.argsort(_cluster_labels(np.diag(T), cluster_tol),
+                        kind="stable")
     current = list(range(n))
     for dest in range(n):
         src = current.index(target[dest])
@@ -158,14 +146,8 @@ def _block_modal_form(A: np.ndarray, cluster_tol: float):
             current.insert(dest, current.pop(src))
 
     labels = _cluster_labels(np.diag(T), cluster_tol)
-    blocks = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and labels[j + 1] == labels[i]:
-            j += 1
-        blocks.append(range(i, j + 1))
-        i = j + 1
+    cuts = [0, *(np.flatnonzero(np.diff(labels)) + 1), n]
+    blocks = [range(i, j) for i, j in zip(cuts[:-1], cuts[1:])]
 
     # Kill the coupling between distinct clusters with Sylvester solves;
     # the similarity [[I, X], [0, I]] zeroes block (bi, bj) exactly.
@@ -281,7 +263,7 @@ class ModalCouplingSpec:
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex).reshape(-1)
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise PreconditionViolation("sigma must be positive")
         if e.real.max(initial=-np.inf) > 1e-12:
             raise PreconditionViolation(
@@ -332,7 +314,8 @@ class CouplingMatrices:
 # ---------------------------------------------------------------------------
 
 def _conjugate_pairs(mode_eigenvalues: np.ndarray):
-    """Partition mode indices into (plus, minus) conjugate pairs and reals.
+    """The (plus, minus) conjugate pairs among the mode indices; the
+    other modes are real.
 
     ``plus`` carries the positive-imaginary-part member of each pair.
     """
@@ -340,11 +323,10 @@ def _conjugate_pairs(mode_eigenvalues: np.ndarray):
     scale = max(1.0, float(np.abs(vals).max()))
     tol = _PAIR_TOL * scale
     unpaired = [i for i in range(vals.size)]
-    reals, pairs = [], []
+    pairs = []
     while unpaired:
         i = unpaired.pop(0)
         if abs(vals[i].imag) <= tol:
-            reals.append(i)
             continue
         match = None
         for j in unpaired:
@@ -358,7 +340,7 @@ def _conjugate_pairs(mode_eigenvalues: np.ndarray):
             )
         unpaired.remove(match)
         pairs.append((i, match) if vals[i].imag > 0 else (match, i))
-    return pairs, reals
+    return pairs
 
 
 def _check_defective_constancy(decomp: ModalDecomposition, values: np.ndarray,
@@ -372,8 +354,9 @@ def _check_defective_constancy(decomp: ModalDecomposition, values: np.ndarray,
 
 
 def _real_levels(decomp: ModalDecomposition, lambda2_real: float,
-                 poles, margin: float, sigma: float) -> np.ndarray:
-    """Per-mode real-part levels for the modal entries.
+                 poles, margin: float, sigma: float):
+    """Per-mode real-part levels for the modal entries, and the
+    (plus, minus) conjugate mode pairs, whose two levels must be equal.
 
     With poles: level_i = -(max_k Re(mode_k) - p_i) / (sigma * lambda2);
     with a uniform pole request the dominant real part of the lambda2
@@ -387,7 +370,7 @@ def _real_levels(decomp: ModalDecomposition, lambda2_real: float,
         p = np.asarray(poles, dtype=float).reshape(-1)
         if p.size != n:
             raise DimensionMismatch(f"need {n} poles, got {p.size}")
-        if np.any(p >= 0.0):
+        if not np.all(p < 0.0):
             raise PreconditionViolation("requested poles must be negative")
         levels = -(max_re - p) / (sigma * lambda2_real)
         if np.any(levels > 0.0):
@@ -395,11 +378,16 @@ def _real_levels(decomp: ModalDecomposition, lambda2_real: float,
                 "a requested pole lies right of the dominant mode; "
                 "it cannot be reached with stabilizing coupling"
             )
-        return levels
-    if margin < 0.0:
+    elif not margin >= 0.0:
         raise PreconditionViolation("margin must be nonnegative")
-    level = -max(max_re + margin, 0.0) / (sigma * lambda2_real)
-    return np.full(n, level)
+    else:
+        levels = np.full(n, -max(max_re + margin, 0.0) / (sigma * lambda2_real))
+    pairs = _conjugate_pairs(decomp.mode_eigenvalues)
+    if any(levels[i] != levels[j] for i, j in pairs):
+        raise PreconditionViolation(
+            "conjugate mode pairs need equal pole requests"
+        )
+    return levels, pairs
 
 
 def design_undirected(decomp: ModalDecomposition, lambda2: float,
@@ -430,17 +418,11 @@ def design_undirected(decomp: ModalDecomposition, lambda2: float,
         Real entries; `realize` turns them into coupling matrices.
     """
     lam2 = complex(lambda2)
-    if abs(lam2.imag) > 1e-12 * max(1.0, abs(lam2)) or lam2.real <= 0.0:
+    if abs(lam2.imag) > 1e-12 * max(1.0, abs(lam2)) or not lam2.real > 0.0:
         raise PreconditionViolation(
             "undirected design needs a real positive lambda2"
         )
-    levels = _real_levels(decomp, lam2.real, poles, margin, sigma)
-    pairs, _ = _conjugate_pairs(decomp.mode_eigenvalues)
-    for i, j in pairs:
-        if levels[i] != levels[j]:
-            raise PreconditionViolation(
-                "conjugate mode pairs need equal pole requests"
-            )
+    levels, _ = _real_levels(decomp, lam2.real, poles, margin, sigma)
     _check_defective_constancy(decomp, levels, "designed modal entries")
     return ModalCouplingSpec(entries=levels.astype(complex), sigma=sigma)
 
@@ -470,7 +452,7 @@ def design_directed(decomp: ModalDecomposition, lambda2: complex,
         When ``argument - theta_max <= pi/2``.
     """
     lam2 = complex(lambda2)
-    if lam2.real <= 0.0:
+    if not lam2.real > 0.0:
         raise PreconditionViolation("Re(lambda2) must be positive")
     if not (0.0 <= theta_max < np.pi / 2.0):
         raise PreconditionViolation("theta_max must lie in [0, pi/2)")
@@ -483,19 +465,12 @@ def design_directed(decomp: ModalDecomposition, lambda2: complex,
             f"theta_max {np.degrees(theta_max):.4f} deg"
         )
 
-    levels = _real_levels(decomp, lam2.real, poles, margin, sigma)
-    pairs, reals = _conjugate_pairs(decomp.mode_eigenvalues)
-    for i, j in pairs:
-        if levels[i] != levels[j]:
-            raise PreconditionViolation(
-                "conjugate mode pairs need equal pole requests"
-            )
-    entries = np.zeros(decomp.n, dtype=complex)
-    for i in reals:
-        entries[i] = levels[i]  # real entry: argument folded to pi
+    levels, pairs = _real_levels(decomp, lam2.real, poles, margin, sigma)
+    entries = levels.astype(complex)  # real modes: argument folded to pi
     for i_plus, i_minus in pairs:
         level = levels[i_plus]
         if level == 0.0:
+            entries[[i_plus, i_minus]] = 0.0  # +0j, also for a level of -0.0
             continue
         modulus = level / np.cos(argument)  # cos < 0, level <= 0 -> m >= 0
         entries[i_plus] = modulus * np.exp(1j * argument)
@@ -576,7 +551,7 @@ def verify(A, H_eff, sigma: float, lap_spectrum: LaplacianSpectrum) -> ModeAnaly
     H = np.atleast_2d(np.asarray(H_eff, dtype=float))
     if A.shape != H.shape or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"A {A.shape} and H_eff {H.shape} must match square")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise PreconditionViolation("sigma must be positive")
     lambdas = lap_spectrum.eigenvalues[1:]
     records = tuple(

@@ -42,6 +42,12 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return M
 
 
+def _as_gain(K) -> np.ndarray:
+    """A gain matrix; a flat K is one row."""
+    K = np.asarray(K, dtype=float)
+    return K.reshape(1, -1) if K.ndim == 1 else K
+
+
 @dataclass(frozen=True)
 class AgentModel:
     """Agent dynamics dx_i/dt = A x_i + B u_i with feedback gain K and
@@ -61,14 +67,12 @@ class AgentModel:
             raise DimensionMismatch("B must have as many rows as A")
         if B.shape[1] > B.shape[0]:
             raise DimensionMismatch("B must have at most n columns")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise PreconditionViolation("coupling strength c must be positive")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         if self.K is not None:
-            K = np.asarray(self.K, dtype=float)
-            if K.ndim == 1:
-                K = K.reshape(1, -1)
+            K = _as_gain(self.K)
             if K.shape != (B.shape[1], A.shape[0]):
                 raise DimensionMismatch(
                     f"K must be {B.shape[1]} x {A.shape[0]}, got {K.shape}"
@@ -87,9 +91,7 @@ def h_from_gain(B, K) -> np.ndarray:
     negation, ``H_eff = B @ K``.
     """
     B = _as_matrix(B, "B")
-    K = np.asarray(K, dtype=float)
-    if K.ndim == 1:
-        K = K.reshape(1, -1)
+    K = _as_gain(K)
     if K.shape[0] != B.shape[1]:
         raise DimensionMismatch(
             f"K has {K.shape[0]} rows but B has {B.shape[1]} columns"
@@ -145,9 +147,7 @@ def recovery_residual(B, H_paper, K) -> float:
     """Max-norm residual ||H_paper + B K||_inf of a recovered gain."""
     B = _as_matrix(B, "B")
     H = _as_matrix(H_paper, "H_paper")
-    K = np.asarray(K, dtype=float)
-    if K.ndim == 1:
-        K = K.reshape(1, -1)
+    K = _as_gain(K)
     return float(np.abs(H + B @ K).max(initial=0.0))
 
 

@@ -88,7 +88,7 @@ class LinearNetworkSystem:
             raise DimensionMismatch(
                 f"A {A.shape} and H_eff {H.shape} must be square and equal"
             )
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise PreconditionViolation("sigma must be positive")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "H_eff", H)
@@ -154,16 +154,16 @@ class SyncReport:
 
 
 def _time_grid(t_end: float, dt: float) -> np.ndarray:
-    if dt <= 0.0 or t_end <= 0.0:
-        raise PreconditionViolation("t_end and dt must be positive")
-    if dt > t_end:
-        raise PreconditionViolation("dt must not exceed t_end")
-    steps = int(round(t_end / dt))
-    try:
-        return dt * np.arange(steps + 1)
-    except ValueError as exc:
+    """The grid 0, dt, ..., round(t_end / dt) * dt; InvalidInput unless
+    0 < dt <= t_end < inf and the grid fits in one array."""
+    if not 0.0 < dt <= t_end < np.inf:
         raise InvalidInput(
-            f"t_end / dt = {steps:.3g} steps: {exc}") from exc
+            f"need 0 < dt <= t_end < inf, got t_end={t_end}, dt={dt}")
+    try:
+        return dt * np.arange(int(round(t_end / dt)) + 1)
+    except (OverflowError, ValueError) as exc:
+        raise InvalidInput(
+            f"t_end / dt = {t_end / dt:.3g} steps: {exc}") from exc
 
 
 def _integrate_rk4(rhs: Callable[[np.ndarray], np.ndarray],
@@ -482,41 +482,32 @@ def build_three_oscillator(eps: float, delta: float, coupling_matrix_fn,
     )
 
 
-def _eval_per_row(fn, X: np.ndarray, out_shape: tuple):
-    """Apply a single-state callable to every row of X."""
-    out = np.empty(out_shape)
-    for i in range(X.shape[0]):
-        out[i] = fn(X[i])
-    return out
+def _batched_or_loop(fn, x0: np.ndarray, shape: tuple):
+    """``fn`` over a stack of node states: fn itself, called batched, when
+    on x0 it runs and returns the shape and values of a per-node loop,
+    else that loop; guards against callables that silently broadcast
+    wrong."""
+    def loop(X):
+        out = np.empty(shape)
+        for i in range(X.shape[0]):
+            out[i] = fn(X[i])
+        return out
+
+    try:
+        got = np.asarray(fn(x0), dtype=float)
+    except Exception:
+        return loop
+    batched = got.shape == shape and np.allclose(got, loop(x0), atol=1e-12)
+    return fn if batched else loop
 
 
 def _make_nonlinear_rhs(sys: NonlinearNetworkSystem, x0: np.ndarray):
-    """RHS closure; prefers batched callable evaluation when safe.
-
-    Batched use of node_dynamics / coupling_matrix_fn is enabled only
-    after checking, on the initial state, that the batched result matches
-    the per-node loop; guards against callables that silently broadcast
-    wrong.
-    """
+    """RHS closure, evaluating node_dynamics and coupling_matrix_fn
+    batched where :func:`_batched_or_loop` finds that safe."""
     N, n = x0.shape
     G = sys.connection
-    F, M = sys.node_dynamics, sys.coupling_matrix_fn
-
-    def f_loop(X):
-        return _eval_per_row(F, X, (N, n))
-
-    def m_loop(X):
-        return _eval_per_row(M, X, (N, n, n))
-
-    def probe(batched, loop, shape):
-        try:
-            got = np.asarray(batched(x0), dtype=float)
-        except Exception:
-            return False
-        return got.shape == shape and np.allclose(got, loop(x0), atol=1e-12)
-
-    f_eval = F if probe(F, f_loop, (N, n)) else f_loop
-    m_eval = M if probe(M, m_loop, (N, n, n)) else m_loop
+    f_eval = _batched_or_loop(sys.node_dynamics, x0, (N, n))
+    m_eval = _batched_or_loop(sys.coupling_matrix_fn, x0, (N, n, n))
 
     def rhs(X):
         transmitted = np.einsum("jab,jb->ja", m_eval(X), X)
@@ -571,7 +562,7 @@ def sync_error(traj: Trajectory, tol: float) -> SyncReport:
     """
     if traj.states.shape[0] == 0:
         raise PreconditionViolation("trajectory is empty")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise PreconditionViolation("tol must be positive")
     errors = _node_spread(traj).max(axis=1)
     sync_time = _settle_time(errors, traj.times, tol)
@@ -590,7 +581,7 @@ def component_settle_times(traj: Trajectory, tol: float) -> tuple:
     ``max_i x_i[c] - min_i x_i[c]`` stays below tol (None if it never
     does); resolves which components of a design synchronize sooner.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise PreconditionViolation("tol must be positive")
     spread = _node_spread(traj)
     return tuple(

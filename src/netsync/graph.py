@@ -70,12 +70,6 @@ class Topology:
             raise InvalidInput("undirected topology requires symmetric weights")
         object.__setattr__(self, "weights", _freeze(w))
 
-    @classmethod
-    def from_weights(cls, weights, directed: bool = False) -> "Topology":
-        w = np.asarray(weights, dtype=float)
-        return cls(n_nodes=w.shape[0] if w.ndim == 2 else 0,
-                   directed=directed, weights=w)
-
 
 @dataclass(frozen=True)
 class Laplacian:

@@ -118,20 +118,21 @@ def _linear_setup(fixture: str, seed: int):
     return fx, A, lap, spectrum(lap), x0
 
 
+def _variant_summary(report, traj) -> dict:
+    """JSON summary of one run and its sync report."""
+    return {"sync_time": report.sync_time, "converged": report.converged,
+            "final_error": report.final_error, "diverged": traj.diverged}
+
+
 def _summarize_variants(trajectories: dict):
     """Sync reports and JSON summaries, keyed like ``trajectories``, of
     linear runs judged at LINEAR_SYNC_TOL."""
     reports, variants = {}, {}
     for key, traj in trajectories.items():
         report = reports[key] = sync_error(traj, LINEAR_SYNC_TOL)
-        variants[key] = {
-            "sync_time": report.sync_time,
-            "converged": report.converged,
-            "final_error": report.final_error,
-            "diverged": traj.diverged,
-            "component_settle_times": list(
-                component_settle_times(traj, LINEAR_SYNC_TOL)),
-        }
+        variants[key] = {**_variant_summary(report, traj),
+                         "component_settle_times": list(
+                             component_settle_times(traj, LINEAR_SYNC_TOL))}
     return reports, variants
 
 
@@ -396,12 +397,7 @@ def run_rossler(baseline: bool = False, eps: float | None = None,
         "band_start": fx["band_start"],
         "band_ok": bool(band_ok),
         "diverged": traj.diverged,
-        "variants": {variant: {
-            "sync_time": report.sync_time,
-            "converged": report.converged,
-            "final_error": report.final_error,
-            "diverged": traj.diverged,
-        }},
+        "variants": {variant: _variant_summary(report, traj)},
     }
     design = {
         "eps": eps_value,

@@ -163,6 +163,8 @@ def test_reproduce_rossler_baseline_expected_verdict(tmp_path):
 def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
                                                        tmp_path, capsys):
     a_file = _write_json(tmp_path / "A.json", np.eye(2).tolist())
+    rotation_file = _write_json(tmp_path / "A_rot.json",
+                                [[0.0, 1.0], [-1.0, 0.0]])
     nan_file = tmp_path / "A_nan.json"
     nan_file.write_text("[[1.0, NaN], [0.0, 1.0]]")
     base = ["design", "--topology", path_topology_file, "--mode",
@@ -170,9 +172,16 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
     for extra in (["--A", a_file, "--sigma", "0"],
                   ["--A", a_file, "--sigma", "nan"],
                   ["--A", a_file, "--sigma", "-1"],
-                  ["--A", str(nan_file)]):
+                  ["--A", str(nan_file)],
+                  ["--A", rotation_file, "--margin", "nan"],
+                  ["--A", rotation_file, "--margin", "inf"],
+                  ["--A", rotation_file, "--poles", "nan"],
+                  ["--A", rotation_file, "--poles", "inf"]):
         assert main(base + extra) == 2, extra
         assert "InvalidInput" in capsys.readouterr().err, extra
+    # a finite negative margin stays the library's domain error
+    assert main(base + ["--A", rotation_file, "--margin", "-1"]) == 1
+    assert "PreconditionViolation" in capsys.readouterr().err
 
 
 # ── dualize ──────────────────────────────────────────────────────────────────
@@ -223,14 +232,18 @@ def test_dualize_rank_deficient_is_domain_error(tmp_path, capsys):
 
 def test_dualize_gain_not_fitting_b_is_usage_error(tmp_path, capsys):
     # B is 2 x 1, so K must be 1 x 2: neither a size that does not divide
-    # nor a 1 x 3 gain (which would give a 2 x 3 H_eff) is accepted
+    # nor a 1 x 3 gain (which would give a 2 x 3 H_eff) is accepted, and
+    # neither is a fitting K with a NaN or negative coupling strength
     b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
-    for name, K in (("odd", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-                    ("wide", [[1.0, 2.0, 3.0]]),
-                    ("column", [[1.0], [0.9]])):
+    for name, K, extra in (
+            ("odd", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], []),
+            ("wide", [[1.0, 2.0, 3.0]], []),
+            ("column", [[1.0], [0.9]], []),
+            ("c_nan", [[1.0, 0.9]], ["--c", "nan"]),
+            ("c_negative", [[1.0, 0.9]], ["--c", "-1"])):
         k_file = _write_json(tmp_path / f"K_{name}.json", K)
         code = main(["dualize", "--direction", "gain-to-h", "--B", b_file,
-                     "--K", k_file])
+                     "--K", k_file] + extra)
         assert code == 2, name
         assert "InvalidInput" in capsys.readouterr().err, name
 
@@ -294,6 +307,11 @@ def test_reproduce_flag_validation(tmp_path, capsys):
     assert main(["reproduce", "example1", "--t-end", "inf", "--out", out]) == 2
     assert main(["reproduce", "example1", "--dt", "nan", "--out", out]) == 2
     assert main(["reproduce", "example1", "--dt", "2", "--t-end", "1",
+                 "--out", out]) == 2
+    # --dt above the scenario's default horizon, and a horizon below the
+    # default --dt
+    assert main(["reproduce", "example1", "--dt", "10", "--out", out]) == 2
+    assert main(["reproduce", "example1", "--t-end", "0.0005",
                  "--out", out]) == 2
     # a finite horizon whose grid cannot exist fails before allocating
     assert main(["reproduce", "example1", "--t-end", "1e300",

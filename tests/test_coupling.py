@@ -3,7 +3,8 @@
 Covers:
   - decompose: fixture dynamics (including the defective ramp pair, via
     the Schur block fallback), plain diagonal matrices, reconstruction
-    invariants, and the ill-conditioned failure mode
+    invariants, eigenvalue clusters linked through chains, and the
+    ill-conditioned failure mode
   - design_undirected: pole placement arithmetic, margin designs, the
     already-stable clamp, and precondition errors
   - design_directed: the two fixture designs, conjugate closure, the
@@ -38,6 +39,7 @@ from netsync import (
     spectrum,
     verify,
 )
+from netsync.coupling import _cluster_labels
 from netsync.scenarios import load_fixture
 
 
@@ -100,6 +102,13 @@ def test_decompose_repeated_but_diagonalizable():
 def test_decompose_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
         decompose(np.zeros((2, 3)))
+
+
+def test_cluster_labels_follow_chains():
+    # 1.2e-8 ~ 0.6e-8 ~ 0.0 within tol 1e-8, though |1.2e-8 - 0.0| > tol:
+    # one cluster, linked through the entry listed last
+    labels = _cluster_labels(np.array([1.2e-8, 5.0, 0.0, 0.6e-8]), 1e-8)
+    assert labels[0] == labels[2] == labels[3] != labels[1]
 
 
 def test_decompose_ill_conditioned_clusters_raise():

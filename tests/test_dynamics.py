@@ -14,6 +14,8 @@ Covers:
   - the linear propagator against a per-step RK4 loop, its recorded
     spread, truncation inside a block, and example3's verdict at a
     horizon where the raw states reach 1e15
+  - time-grid validation, NaN in the positive-scalar checks, and the
+    per-node fallback for callables that broadcast wrong
 """
 
 import csv
@@ -26,14 +28,20 @@ from helpers import random_connected_topology, relative_final_state_change
 from netsync import (
     AgentModel,
     DimensionMismatch,
+    InvalidInput,
     Laplacian,
     LinearNetworkSystem,
+    ModalCouplingSpec,
     NonlinearCouplingSpec,
+    NonlinearNetworkSystem,
     PreconditionViolation,
     build_laplacian,
     build_three_oscillator,
     component_settle_times,
+    decompose,
+    design_directed,
     design_nonlinear_coupling,
+    design_undirected,
     rms_amplitude,
     rossler_jacobian_parts,
     rossler_vector_field,
@@ -41,8 +49,10 @@ from netsync import (
     simulate_linear,
     simulate_nonlinear,
     Trajectory,
+    spectrum,
     sync_error,
     sync_report_dict,
+    verify,
     write_trajectory_csv,
 )
 from netsync.scenarios import run_example3
@@ -64,6 +74,15 @@ def test_scalar_consensus_matches_exact_decay():
     diff = traj.states[:, 0, 0] - traj.states[:, 1, 0]
     assert abs(diff[-1] - np.exp(-2.0)) < 1e-6
     assert np.abs(diff - np.exp(-2.0 * traj.times)).max() < 1e-6
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (1.0, float("nan")), (float("inf"), 1e-3), (float("nan"), 1e-3),
+    (1.0, 0.0), (1.0, 2.0), (1.0, 1e-300), (1.0, 1e-320)])
+def test_time_grid_rejects_bad_horizon(t_end, dt):
+    # 1 / 1e-300 steps exceed one array; 1 / 1e-320 overflows to inf
+    with pytest.raises(InvalidInput):
+        _scalar_consensus(t_end, dt)
 
 
 def test_manifold_invariance_linear():
@@ -368,6 +387,28 @@ def test_nonbroadcasting_coupling_falls_back_to_loop():
     assert np.array_equal(traj_a.states, traj_b.states)
 
 
+def test_misbroadcasting_dynamics_falls_back_to_loop():
+    # a node dynamic that returns the right shape but mixes nodes when
+    # called on the whole stack must be evaluated node by node
+    def pooled(state):
+        state = np.asarray(state, dtype=float)
+        return -state + 0.1 * np.sum(state)
+
+    def per_node(state):
+        state = np.asarray(state, dtype=float)
+        return -state + 0.1 * np.sum(state, axis=-1, keepdims=True)
+
+    def coupling(state):
+        return np.broadcast_to(-np.eye(3), np.shape(state)[:-1] + (3, 3))
+
+    x0 = np.random.default_rng(22).uniform(-1.0, 1.0, (3, 3))
+    trajs = [simulate_nonlinear(NonlinearNetworkSystem(
+        node_dynamics=f, coupling_matrix_fn=coupling, n_nodes=3,
+        connection=build_three_oscillator(0.1, 0.0, coupling).connection),
+        x0, 1.0, 1e-3) for f in (pooled, per_node)]
+    assert np.allclose(trajs[0].states, trajs[1].states, rtol=0.0, atol=1e-12)
+
+
 # ── synchronization metrics ──────────────────────────────────────────────────
 
 
@@ -405,6 +446,31 @@ def test_component_settle_times_orders_components():
     traj = simulate_linear(sys, np.array([[1.0, 1.0], [0.0, 0.0]]), 6.0, 1e-3)
     slow, fast = component_settle_times(traj, 1e-3)
     assert fast < slow
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sync_error(_scalar_consensus(), NAN),
+    lambda: component_settle_times(_scalar_consensus(), NAN),
+    lambda: LinearNetworkSystem(A=np.zeros((1, 1)), H_eff=-np.eye(1),
+                                sigma=NAN, laplacian=PAIR_LAPLACIAN),
+    lambda: ModalCouplingSpec(entries=[-1.0], sigma=NAN),
+    lambda: verify(np.zeros((1, 1)), -np.eye(1), NAN,
+                   spectrum(PAIR_LAPLACIAN)),
+    lambda: AgentModel(A=np.eye(2), B=np.array([[1.0], [-1.0]]), c=NAN),
+    lambda: design_undirected(decompose(np.eye(2)), NAN),
+    lambda: design_undirected(decompose(np.eye(2)), 1.0, margin=NAN),
+    lambda: design_undirected(decompose(np.eye(2)), 1.0, poles=[NAN, NAN]),
+    lambda: design_directed(decompose(np.eye(2)), complex(NAN, 0.0), 0.0,
+                            3.0),
+], ids=["sync_error", "component_settle_times", "LinearNetworkSystem",
+        "ModalCouplingSpec", "verify", "AgentModel", "lambda2", "margin",
+        "poles", "directed_lambda2"])
+def test_scalar_checks_reject_nan(call):
+    with pytest.raises(PreconditionViolation):
+        call()
 
 
 def test_sync_report_dict_schema():
