@@ -36,15 +36,21 @@ from .duality import (
     pseudo_inverse,
     recovery_residual,
 )
-from .errors import DefectiveMatrix, InvalidInput, NetsyncError
+from .errors import (
+    DefectiveMatrix,
+    DimensionMismatch,
+    InvalidInput,
+    NetsyncError,
+)
 from .graph import build_laplacian, is_connected, load_topology, spectrum
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-# Errors that signal a malformed request rather than a failed computation.
-_USAGE_ERRORS = (InvalidInput,)
+# Errors that signal a malformed request rather than a failed computation;
+# a matrix file of the wrong shape is one.
+_USAGE_ERRORS = (InvalidInput, DimensionMismatch)
 
 
 def _fail(exc: NetsyncError) -> int:
@@ -123,6 +129,8 @@ def _cmd_design(args) -> int:
     _require_positive("--sigma", args.sigma)
     if not np.isfinite(args.margin):
         raise InvalidInput("--margin must be finite")
+    if args.argument is not None and not np.isfinite(args.argument):
+        raise InvalidInput("--argument must be finite")
     A = _load_matrix(args.A)
     topology = load_topology(args.topology)
     if args.mode == "undirected" and topology.directed:

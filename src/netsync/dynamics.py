@@ -29,7 +29,6 @@ flags it; a divergent run still produces a synchronization report.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -69,6 +68,9 @@ _BLOCK_ELEMENTS = 1 << 16
 # Entries of one chunk of basis states stepped to build the one-step map;
 # small chunks keep the RK4 temporaries far below one propagator.
 _BASIS_CHUNK_ELEMENTS = 1 << 12
+# Entries of one chunk of time samples that the CSV writer formats and
+# writes at once: bounds the memory held by its row strings.
+_CSV_CHUNK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -599,18 +601,25 @@ def rms_amplitude(traj: Trajectory) -> float:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV rows ``t,node,x1..xn`` (one row per
-    time sample per node)."""
-    n = traj.node_dim
+    time sample per node): 1-based node labels, each value the ``repr``
+    of a float, no quoting and ``\\r\\n`` line ends."""
+    n_steps, n_nodes, n = traj.states.shape
+    nodes = [str(node + 1) for node in range(n_nodes)]
+    chunk = max(1, _CSV_CHUNK_ELEMENTS // max(1, n_nodes * n))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node"] + [f"x{i + 1}" for i in range(n)])
-        for t_idx in range(traj.times.shape[0]):
-            t = repr(float(traj.times[t_idx]))
-            for node in range(traj.n_nodes):
-                writer.writerow(
-                    [t, node + 1]
-                    + [repr(float(v)) for v in traj.states[t_idx, node]]
-                )
+        fh.write(",".join(["t", "node"] + [f"x{i + 1}" for i in range(n)])
+                 + "\r\n")
+        for start in range(0, n_steps, chunk):
+            stop = start + chunk
+            rows = []
+            for t, sample in zip(
+                    np.asarray(traj.times[start:stop], dtype=float).tolist(),
+                    np.asarray(traj.states[start:stop], dtype=float).tolist()):
+                t = repr(t)
+                for node, x in zip(nodes, sample):
+                    rows.append(",".join([t, node, *map(repr, x)]))
+            rows.append("")  # ends the chunk's last row
+            fh.write("\r\n".join(rows))
 
 
 def sync_report_dict(report: SyncReport) -> dict:

@@ -182,6 +182,30 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
     # a finite negative margin stays the library's domain error
     assert main(base + ["--A", rotation_file, "--margin", "-1"]) == 1
     assert "PreconditionViolation" in capsys.readouterr().err
+    cycle = _write_json(tmp_path / "cycle.json",
+                        {"directed": True,
+                         "weights": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]})
+    for value in ("nan", "inf"):
+        assert main(["design", "--A", rotation_file, "--topology", cycle,
+                     "--mode", "directed", "--argument", value]) == 2, value
+        assert "InvalidInput" in capsys.readouterr().err, value
+
+
+def test_wrong_shaped_matrix_file_is_usage_error(path_topology_file,
+                                                 tmp_path, capsys):
+    wide = _write_json(tmp_path / "A_wide.json", [[1.0, 0.0, 0.0],
+                                                  [0.0, 1.0, 0.0]])
+    b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
+    k_file = _write_json(tmp_path / "K.json", [[1.0, 0.9]])
+    h_file = _write_json(tmp_path / "H.json", np.eye(3).tolist())
+    for argv in (["design", "--A", wide, "--topology", path_topology_file,
+                  "--mode", "undirected"],
+                 ["dualize", "--direction", "gain-to-h", "--B", b_file,
+                  "--K", k_file, "--A", wide],
+                 ["dualize", "--direction", "h-to-gain", "--B", b_file,
+                  "--H", h_file]):
+        assert main(argv) == 2, argv
+        assert "DimensionMismatch" in capsys.readouterr().err, argv
 
 
 # ── dualize ──────────────────────────────────────────────────────────────────

@@ -9,7 +9,8 @@ Covers:
     eigenvalues, Jacobian split vs finite differences, coupling design
     formula cases
   - sync_error / component settle times / divergence flagging
-  - trajectory CSV round-trip, stiffness warning, step-halving sanity,
+  - trajectory CSV round-trip and its bytes against a csv.writer
+    reference, stiffness warning, step-halving sanity,
     tail log-slope matching the slowest transverse mode
   - the linear propagator against a per-step RK4 loop, its recorded
     spread, truncation inside a block, and example3's verdict at a
@@ -55,6 +56,7 @@ from netsync import (
     verify,
     write_trajectory_csv,
 )
+from netsync.dynamics import _CSV_CHUNK_ELEMENTS
 from netsync.scenarios import run_example3
 
 PAIR_LAPLACIAN = Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -523,6 +525,71 @@ def test_trajectory_csv_round_trip(tmp_path):
     x_back = float(rows[1][2])
     assert t_back == traj.times[0] and x_back == traj.states[0, 0, 0]
     assert rows[1][1] == "1" and rows[2][1] == "2"
+
+
+def _reference_csv(traj, path):
+    """Reference writer: one csv.writer row per time sample and node, each
+    value formatted by repr(float(v))."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "node"]
+                        + [f"x{i + 1}" for i in range(traj.node_dim)])
+        for t_idx in range(traj.times.shape[0]):
+            t = repr(float(traj.times[t_idx]))
+            for node in range(traj.n_nodes):
+                writer.writerow(
+                    [t, node + 1]
+                    + [repr(float(v)) for v in traj.states[t_idx, node]])
+
+
+def _assert_csv_matches_reference(traj, tmp_path):
+    write_trajectory_csv(traj, tmp_path / "fast.csv")
+    _reference_csv(traj, tmp_path / "reference.csv")
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+_CSV_SPECIALS = [-0.0, 5e-324, float("inf"), float("-inf"), float("nan"),
+                 1e16, 1e-5, 1.2345678901234567e17]
+
+
+@pytest.mark.parametrize("n_steps, n_nodes, node_dim", [
+    (1, 1, 1),
+    # two full chunks of 682 samples and a partial one
+    (2 * (_CSV_CHUNK_ELEMENTS // 6) + 5, 3, 2),
+    # more entries per sample than the chunk budget: one sample a chunk
+    (3, 65, 64),
+    (2, 0, 3),
+], ids=["single-entry", "partial-last-chunk", "sample-above-budget",
+        "no-nodes"])
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, n_steps, n_nodes,
+                                               node_dim):
+    rng = np.random.default_rng(n_steps * n_nodes * node_dim)
+    states = rng.standard_normal((n_steps, n_nodes, node_dim)) * 10.0 ** (
+        rng.integers(-20, 20, size=(n_steps, n_nodes, node_dim)))
+    flat = states.reshape(-1)
+    flat[rng.permutation(flat.size)[:len(_CSV_SPECIALS)]] = (
+        _CSV_SPECIALS[:flat.size])
+    times = np.arange(n_steps) * 1e-3
+    times[-1] = _CSV_SPECIALS[(n_steps - 1) % len(_CSV_SPECIALS)]
+    _assert_csv_matches_reference(Trajectory(times=times, states=states),
+                                  tmp_path)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_non_double_trajectory_csv_bytes_match_csv_writer(tmp_path, dtype):
+    # values are written as floats whatever the arrays' dtype
+    states = np.linspace(-2.7, 2.7, 12).reshape(2, 3, 2).astype(dtype)
+    traj = Trajectory(times=np.arange(2).astype(dtype), states=states)
+    _assert_csv_matches_reference(traj, tmp_path)
+
+
+def test_diverged_trajectory_csv_bytes_match_csv_writer(tmp_path):
+    sys = LinearNetworkSystem(A=np.array([[80.0]]), H_eff=np.array([[-1e-6]]),
+                              sigma=1.0, laplacian=PAIR_LAPLACIAN)
+    traj = simulate_linear(sys, np.array([[1.0], [2.0]]), 20.0, 1e-2)
+    assert traj.diverged
+    _assert_csv_matches_reference(traj, tmp_path)
 
 
 def test_rms_amplitude_constant_trajectory():
