@@ -89,8 +89,11 @@ def _emit(payload: dict, out_dir, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
         return
-    os.makedirs(out_dir, exist_ok=True)
-    scenarios.atomic_write_text(os.path.join(out_dir, filename), text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        scenarios.atomic_write_text(os.path.join(out_dir, filename), text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write artifacts: {exc}") from exc
 
 
 def _cmd_spectrum(args) -> int:
@@ -227,8 +230,7 @@ def _cmd_reproduce(args) -> int:
         try:
             written = scenarios.write_artifacts(result, args.out)
         except OSError as exc:
-            print(f"cannot write artifacts: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidInput(f"cannot write artifacts: {exc}") from exc
         status = "ok" if result.verdict else "verdict-failed"
         print(f"{result.name}: {status} ({len(written)} artifacts in "
               f"{os.path.join(args.out, result.name)})")

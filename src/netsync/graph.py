@@ -82,13 +82,22 @@ class Laplacian:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"Laplacian must be square, got shape {m.shape}")
         n = m.shape[0]
+        magnitude = np.abs(m)
+        # ||L||_inf bounds every eigenvalue; an overflowing degree makes it
+        # infinite, and the spectrum would hold inf or fail to converge
+        with np.errstate(over="ignore"):
+            norm = magnitude.sum(axis=1).max(initial=0.0)
+        if not np.isfinite(norm):
+            raise InvalidInput("Laplacian row norms must be finite: a node "
+                               "degree is non-finite or too large")
+        scale = max(1.0, magnitude.max())
         row_sums = m.sum(axis=1)
-        if np.abs(row_sums).max() > 1e-12 * n * max(1.0, np.abs(m).max()):
+        if np.abs(row_sums).max() > 1e-12 * n * scale:
             raise InvalidInput("Laplacian rows must sum to zero")
         off = m - np.diag(np.diag(m))
-        if off.max(initial=0.0) > 1e-12 * max(1.0, np.abs(m).max()):
+        if off.max(initial=0.0) > 1e-12 * scale:
             raise InvalidInput("Laplacian off-diagonal entries must be <= 0")
-        if np.diag(m).min(initial=0.0) < -1e-12 * max(1.0, np.abs(m).max()):
+        if np.diag(m).min(initial=0.0) < -1e-12 * scale:
             raise InvalidInput("Laplacian diagonal entries must be >= 0")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -145,7 +154,9 @@ def build_laplacian(topology: Topology) -> Laplacian:
     rows of the result sum to zero exactly (up to float addition).
     """
     a = topology.weights
-    return Laplacian(matrix=np.diag(a.sum(axis=1)) - a)
+    with np.errstate(over="ignore"):     # Laplacian rejects an inf degree
+        degrees = a.sum(axis=1)
+    return Laplacian(matrix=np.diag(degrees) - a)
 
 
 def spectrum(lap: Laplacian, zero_tolerance: float | None = None) -> LaplacianSpectrum:
@@ -222,7 +233,9 @@ def load_topology(path) -> Topology:
         raise InvalidInput(f"cannot read topology file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "weights" not in payload:
         raise InvalidInput("topology JSON must be an object with a 'weights' key")
-    directed = bool(payload.get("directed", False))
+    directed = payload.get("directed", False)
+    if not isinstance(directed, bool):
+        raise InvalidInput("'directed' must be a JSON boolean")
     weights = payload["weights"]
     if not isinstance(weights, Sequence):
         raise InvalidInput("'weights' must be an array of arrays")

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,25 @@ def test_spectrum_malformed_file_is_usage_error(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["spectrum", "--topology", str(bad)]) == 2
     assert main(["spectrum", "--topology", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"directed": False, "weights": [[0, 1e308], [1e308, 0]]},
+    {"directed": False, "weights": [[0, 1e308, 1e308], [1e308, 0, 1e308],
+                                    [1e308, 1e308, 0]]},
+    {"directed": "yes", "weights": [[0, 1], [1, 0]]},
+])
+def test_spectrum_bad_topology_is_usage_error_without_warning(
+        payload, tmp_path, capsys):
+    # overflowing degrees printed Infinity (exit 0) or failed in the
+    # eigensolver (exit 1) after RuntimeWarnings; "yes" read as true
+    topo = _write_json(tmp_path / "bad.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--topology", topo]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InvalidInput: ")
 
 
 # ── design ───────────────────────────────────────────────────────────────────
@@ -314,6 +334,27 @@ def test_reproduce_unwritable_out_is_io_error(tmp_path, capsys):
     code = main(["reproduce", "example4", "--t-end", "5.0",
                  "--out", str(blocker)])
     assert code == 2
+    assert "InvalidInput: cannot write artifacts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "design", "dualize"])
+def test_report_unwritable_out_is_usage_error(command, path_topology_file,
+                                              tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    one = _write_json(tmp_path / "one.json", [[1.0]])
+    argv = {
+        "spectrum": ["spectrum", "--topology", path_topology_file],
+        "design": ["design", "--A", one, "--topology", path_topology_file,
+                   "--mode", "undirected"],
+        "dualize": ["dualize", "--direction", "gain-to-h", "--B", one,
+                    "--K", one],
+    }[command]
+    assert main(argv + ["--out", str(blocker / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InvalidInput: cannot write artifacts" in captured.err
+    assert blocker.read_text() == "file, not a directory"
 
 
 def test_reproduce_unknown_name_is_usage_error(capsys):

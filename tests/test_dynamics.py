@@ -13,18 +13,26 @@ Covers:
     reference, stiffness warning, step-halving sanity,
     tail log-slope matching the slowest transverse mode
   - the linear propagator against a per-step RK4 loop, its recorded
-    spread, truncation inside a block, and example3's verdict at a
-    horizon where the raw states reach 1e15
+    spread, truncation inside a block and inside a group of blocks, and
+    example3's verdict at a horizon where the raw states reach 1e15
+  - the nonlinear simulator bit for bit against a per-step RK4 loop
+    (designed, selector, random zero-row-sum and per-node couplings),
+    and a finite state whose sum overflows running to the end
   - time-grid validation, NaN in the positive-scalar checks, and the
     per-node fallback for callables that broadcast wrong
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import random_connected_topology, relative_final_state_change
+from helpers import (
+    path_topology,
+    random_connected_topology,
+    relative_final_state_change,
+)
 
 from netsync import (
     AgentModel,
@@ -57,7 +65,11 @@ from netsync import (
     write_trajectory_csv,
 )
 from netsync.dynamics import _CSV_CHUNK_ELEMENTS
-from netsync.scenarios import run_example3
+from netsync.scenarios import (
+    designed_rossler_coupling,
+    load_fixture,
+    run_example3,
+)
 
 PAIR_LAPLACIAN = Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -193,6 +205,26 @@ def test_divergence_inside_a_block_truncates_at_last_finite_state():
     z = a * dt
     growth = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
     assert np.abs(traj.states[-1]).max() > np.finfo(float).max / growth
+
+
+def test_overflow_mid_group_truncates_at_last_finite_step():
+    # N * n = 300 takes one step per block and several blocks per group;
+    # node i grows by the RK4 factor g a step from x0_i, the largest x0_i
+    # sits at max / g**20.5, so step 20 is the last finite one
+    a, dt, N = 10.0, 0.1, 300
+    growth = 1 + 1 + 1 / 2 + 1 / 6 + 1 / 24      # a * dt = 1
+    x0 = np.linspace(0.1, 1.0, N)[:, None] * (
+        np.finfo(float).max / growth ** 20.5)
+    sys = LinearNetworkSystem(A=np.array([[a]]), H_eff=np.zeros((1, 1)),
+                              sigma=1.0,
+                              laplacian=build_laplacian(path_topology(N)))
+    traj = simulate_linear(sys, x0, 10.0, dt)
+    assert traj.diverged
+    assert (traj.times.shape[0] == traj.states.shape[0]
+            == traj.spread.shape[0] == 21)
+    assert np.isfinite(traj.states).all() and np.isfinite(traj.spread).all()
+    expected = x0[None] * growth ** np.arange(21)[:, None, None]
+    assert np.allclose(traj.states, expected, rtol=1e-12, atol=0.0)
 
 
 def test_overflowing_step_map_diverges_at_first_step():
@@ -387,6 +419,73 @@ def test_nonbroadcasting_coupling_falls_back_to_loop():
     traj_a = simulate_nonlinear(sys_a, x0, 1.0, 1e-3)
     traj_b = simulate_nonlinear(sys_b, x0, 1.0, 1e-3)
     assert np.array_equal(traj_a.states, traj_b.states)
+
+
+def _scalar_rossler(state):
+    x, y, z = (float(v) for v in state)
+    return np.array([-(y + z), x + 0.2 * y, 0.2 + z * (x - 7.0)])
+
+
+def _nonlinear_systems(fx):
+    """Rossler nodes (a = b = 0.2, c = 7) under the designed and selector
+    couplings, on a random zero-row-sum G, and through the per-node loop."""
+    eps, delta = 0.3, fx["delta"]
+    designed = designed_rossler_coupling(eps, fx)
+    selector = np.array(fx["selector_coupling"], dtype=float)
+
+    def selector_coupling(state):
+        return np.broadcast_to(selector, np.shape(state)[:-1]
+                               + selector.shape).copy()
+
+    def scalar_selector(state):
+        float(state[0])         # rejects a stack of states: per-node loop
+        return selector.copy()
+
+    G = np.random.default_rng(31).normal(0.0, 0.3, (5, 5))
+    G -= np.diag(G.sum(axis=1))
+    probe = build_three_oscillator(eps, delta, designed)
+    return {
+        "designed": probe,
+        "selector": build_three_oscillator(eps, delta, selector_coupling),
+        "random-G": NonlinearNetworkSystem(
+            node_dynamics=rossler_vector_field, coupling_matrix_fn=designed,
+            connection=G, n_nodes=5),
+        "per-node": NonlinearNetworkSystem(
+            node_dynamics=_scalar_rossler, coupling_matrix_fn=scalar_selector,
+            connection=probe.connection, n_nodes=3),
+    }
+
+
+@pytest.mark.parametrize("case", ["designed", "selector", "random-G",
+                                  "per-node"])
+def test_nonlinear_simulator_equals_per_step_rk4(case):
+    fx = load_fixture("rossler")
+    sys = _nonlinear_systems(fx)[case]
+    x0 = (np.array(fx["initial_center"], dtype=float)
+          + np.random.default_rng(32).uniform(-1.0, 1.0, (sys.n_nodes, 3)))
+    M, G = sys.coupling_matrix_fn, sys.connection
+
+    def rhs(X):
+        return (np.array([_scalar_rossler(x) for x in X])
+                + G @ np.einsum("jab,jb->ja",
+                                np.array([M(x) for x in X]), X))
+
+    traj = simulate_nonlinear(sys, x0, 0.3, 1e-3)
+    assert not traj.diverged
+    assert np.array_equal(traj.states, _rk4_loop(rhs, x0, 300, 1e-3))
+
+
+def test_finite_state_with_overflowing_sum_is_not_diverged():
+    still = NonlinearNetworkSystem(
+        node_dynamics=lambda s: np.zeros(np.shape(s)),
+        coupling_matrix_fn=lambda s: np.zeros(np.shape(s) + (2,)),
+        connection=np.zeros((2, 2)), n_nodes=2)
+    x0 = np.array([[1e308, 1e308], [0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate_nonlinear(still, x0, 0.01, 1e-3)
+    assert not traj.diverged and traj.times.shape[0] == 11
+    assert (traj.states == x0).all()
 
 
 def test_misbroadcasting_dynamics_falls_back_to_loop():

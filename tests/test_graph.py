@@ -7,10 +7,13 @@ Covers:
   - connectivity detection (one zero eigenvalue, rest right of it)
   - structural invariants over random topologies: zero row sums, real
     nonnegative undirected spectra, eigenvector reconstruction, trace
-  - topology JSON round-trip and invariant rejection
+  - topology JSON round-trip and invariant rejection, including
+    degrees whose Laplacian row norms overflow and a non-boolean
+    "directed"
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +187,23 @@ def test_laplacian_invariant_violations():
         Laplacian(np.array([[1.0, -0.5], [-1.0, 1.0]]))   # row sums
     with pytest.raises(InvalidInput):
         Laplacian(np.array([[-1.0, 1.0], [1.0, -1.0]]))   # signs
+    for bad in (np.inf, np.nan):                          # non-finite
+        with pytest.raises(InvalidInput):
+            Laplacian(np.array([[bad, -bad], [-bad, bad]]))
+
+
+@pytest.mark.parametrize("weights, directed", [
+    ([[0.0, 1e308], [1e308, 0.0]], False),    # degree finite, 2 * degree not
+    ([[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]], False),
+    ([[0.0, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], True),
+])
+def test_overflowing_degrees_rejected_without_warning(weights, directed):
+    top = Topology(n_nodes=len(weights), directed=directed,
+                   weights=np.array(weights))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="degree"):
+            build_laplacian(top)
 
 
 # ── topology files ───────────────────────────────────────────────────────────
@@ -206,5 +226,10 @@ def test_topology_json_rejects_invalid(tmp_path):
     bad.write_text("not json {")
     with pytest.raises(InvalidInput):
         load_topology(bad)
+    for directed in ("yes", "false", 1, 0, None, [True]):
+        bad.write_text(json.dumps({"directed": directed,
+                                   "weights": [[0, 1], [1, 0]]}))
+        with pytest.raises(InvalidInput, match="boolean"):
+            load_topology(bad)
     with pytest.raises(InvalidInput):
         load_topology(tmp_path / "missing.json")
