@@ -83,8 +83,9 @@ _BASIS_CHUNK_ELEMENTS = 1 << 12
 # recombining, recording and checking them: amortises those per-block
 # calls when blocks are short, and bounds the group buffer.
 _GROUP_ELEMENTS = 1 << 12
-# Entries of one chunk of time samples that the CSV writer formats and
-# writes at once: bounds the memory held by its row strings.
+# State entries of one chunk of time samples that the CSV writer formats
+# with one ``%`` over its cell grid and writes at once: bounds the grid,
+# the repeated row template and the chunk's text.
 _CSV_CHUNK_ELEMENTS = 1 << 12
 
 
@@ -105,8 +106,9 @@ class LinearNetworkSystem:
             raise DimensionMismatch(
                 f"A {A.shape} and H_eff {H.shape} must be square and equal"
             )
-        if not self.sigma > 0.0:
-            raise PreconditionViolation("sigma must be positive")
+        _require_finite("A and H_eff", A, H)
+        if not 0.0 < self.sigma < np.inf:
+            raise PreconditionViolation("sigma must be positive and finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "H_eff", H)
 
@@ -287,12 +289,18 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     return Trajectory(times=times, states=states, spread=spread)
 
 
+def _require_finite(what: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInput(f"{what} must be finite")
+
+
 def _check_x0(x0, n_nodes: int, node_dim: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n_nodes, node_dim):
         raise DimensionMismatch(
             f"x0 must be ({n_nodes}, {node_dim}), got {x0.shape}"
         )
+    _require_finite("x0", x0)
     return x0
 
 
@@ -433,8 +441,8 @@ class NonlinearCouplingSpec:
     rho: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kappa == 0.0:
-            raise PreconditionViolation("kappa must be nonzero")
+        if not (math.isfinite(self.kappa) and self.kappa != 0.0):
+            raise PreconditionViolation("kappa must be finite and nonzero")
         Phi1 = np.atleast_2d(np.asarray(self.Phi1, dtype=float))
         Psi1 = np.atleast_2d(np.asarray(self.Psi1, dtype=float))
         if Phi1.shape != Psi1.shape or Phi1.shape[0] != Phi1.shape[1]:
@@ -445,6 +453,7 @@ class NonlinearCouplingSpec:
                else np.asarray(self.rho, dtype=float).reshape(-1))
         if rho.shape[0] != Phi1.shape[0]:
             raise DimensionMismatch("rho must have one entry per state")
+        _require_finite("Phi1, Psi1 and rho", Phi1, Psi1, rho)
         object.__setattr__(self, "rho", rho)
 
 
@@ -487,7 +496,11 @@ class NonlinearNetworkSystem:
             raise DimensionMismatch(
                 f"connection must be {self.n_nodes} x {self.n_nodes}"
             )
-        if np.abs(G.sum(axis=1)).max() > 1e-9 * max(1.0, np.abs(G).max()):
+        _require_finite("connection", G)
+        # a row sum that overflows fails too
+        with np.errstate(over="ignore"):
+            row_sums = np.abs(G.sum(axis=1)).max()
+        if not row_sums <= 1e-9 * max(1.0, np.abs(G).max()):
             raise PreconditionViolation("connection rows must sum to zero")
         object.__setattr__(self, "connection", G)
 
@@ -563,6 +576,7 @@ def simulate_nonlinear(sys: NonlinearNetworkSystem, x0, t_end: float,
         raise DimensionMismatch(
             f"x0 must be ({sys.n_nodes}, node_dim), got {x0.shape}"
         )
+    _require_finite("x0", x0)
     times = _time_grid(t_end, dt)
     rhs = _make_nonlinear_rhs(sys, x0)
     return _integrate_rk4(rhs, x0, times)
@@ -638,24 +652,30 @@ def rms_amplitude(traj: Trajectory) -> float:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV rows ``t,node,x1..xn`` (one row per
     time sample per node): 1-based node labels, each value the ``repr``
-    of a float, no quoting and ``\\r\\n`` line ends."""
+    of a float, no quoting and ``\\r\\n`` line ends.
+
+    The rows of one time sample share a template, ``%s,<node>`` then
+    ``,%r`` per component for each node in turn.  A chunk of samples
+    fills an object grid ``cells[sample, node] = (repr(t), x1..xn)`` with
+    Python floats, whose ``%r`` is their ``repr``, and the template
+    repeated once per sample formats the whole grid in one ``%``.
+    """
     n_steps, n_nodes, n = traj.states.shape
-    nodes = [str(node + 1) for node in range(n_nodes)]
     chunk = max(1, _CSV_CHUNK_ELEMENTS // max(1, n_nodes * n))
+    row = "".join(f"%s,{node + 1}" + ",%r" * n + "\r\n"
+                  for node in range(n_nodes))
+    cells = np.empty((chunk, n_nodes, 1 + n), dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["t", "node"] + [f"x{i + 1}" for i in range(n)])
                  + "\r\n")
         for start in range(0, n_steps, chunk):
-            stop = start + chunk
-            rows = []
-            for t, sample in zip(
-                    np.asarray(traj.times[start:stop], dtype=float).tolist(),
-                    np.asarray(traj.states[start:stop], dtype=float).tolist()):
-                t = repr(t)
-                for node, x in zip(nodes, sample):
-                    rows.append(",".join([t, node, *map(repr, x)]))
-            rows.append("")  # ends the chunk's last row
-            fh.write("\r\n".join(rows))
+            times = np.asarray(traj.times[start:start + chunk], dtype=float)
+            b = times.shape[0]
+            cells[:b, :, 0] = np.array(list(map(repr, times.tolist())),
+                                       dtype=object)[:, None]
+            cells[:b, :, 1:] = np.asarray(traj.states[start:start + b],
+                                          dtype=float)
+            fh.write(row * b % tuple(cells[:b].ravel().tolist()))
 
 
 def sync_report_dict(report: SyncReport) -> dict:

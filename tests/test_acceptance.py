@@ -276,6 +276,7 @@ def test_criterion_8_linear_synchronization_ordering(example1_runs):
             assert t3 > t2, f"component {component}: weakened not slower"
 
 
+@pytest.mark.slow
 def test_criterion_9_chaotic_probe(rossler_runs):
     with criterion(9, "chaotic probe: design holds the band, baseline flips"):
         designed = rossler_runs["designed"]
@@ -287,6 +288,7 @@ def test_criterion_9_chaotic_probe(rossler_runs):
         assert strong.summary["synchronized"]
 
 
+@pytest.mark.slow
 def test_criterion_10_integrator_sanity(example1_runs, rossler_runs,
                                         rossler_halved_runs):
     with criterion(10, "step-halving <= 1e-5 and manifold invariance 1e-12"):

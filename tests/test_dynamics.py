@@ -18,15 +18,20 @@ Covers:
   - the nonlinear simulator bit for bit against a per-step RK4 loop
     (designed, selector, random zero-row-sum and per-node couplings),
     and a finite state whose sum overflows running to the end
-  - time-grid validation, NaN in the positive-scalar checks, and the
-    per-node fallback for callables that broadcast wrong
+  - time-grid validation, NaN in the positive-scalar checks, non-finite
+    inputs rejected at construction with no warning, and the per-node
+    fallback for callables that broadcast wrong
+  - the CSV writer byte for byte against the reference on generated
+    64-bit patterns, and its memory bounded by one chunk
 """
 
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
     path_topology,
@@ -574,6 +579,64 @@ def test_scalar_checks_reject_nan(call):
         call()
 
 
+def _three_oscillator(G=None):
+    Phi1, Phi2 = rossler_jacobian_parts()
+    spec = NonlinearCouplingSpec(Phi1=Phi1, Phi2=Phi2, Psi1=np.eye(3),
+                                 kappa=1.0)
+    sys = build_three_oscillator(0.1, 0.0, design_nonlinear_coupling(spec))
+    if G is None:
+        return sys
+    return NonlinearNetworkSystem(sys.node_dynamics, sys.coupling_matrix_fn,
+                                  G, 3)
+
+
+def _with_nan(shape, index=0):
+    a = np.zeros(shape)
+    a.flat[index] = NAN
+    return a
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, error", [
+    (lambda: LinearNetworkSystem(A=_with_nan((2, 2)), H_eff=-np.eye(2),
+                                 sigma=1.0, laplacian=PAIR_LAPLACIAN),
+     InvalidInput),
+    (lambda: LinearNetworkSystem(A=np.zeros((1, 1)),
+                                 H_eff=[[-np.inf]], sigma=1.0,
+                                 laplacian=PAIR_LAPLACIAN), InvalidInput),
+    (lambda: LinearNetworkSystem(A=np.zeros((1, 1)), H_eff=-np.eye(1),
+                                 sigma=np.inf, laplacian=PAIR_LAPLACIAN),
+     PreconditionViolation),
+    (lambda: NonlinearCouplingSpec(*rossler_jacobian_parts(), np.eye(3),
+                                   kappa=NAN), PreconditionViolation),
+    (lambda: NonlinearCouplingSpec(*rossler_jacobian_parts(), np.eye(3),
+                                   kappa=np.inf), PreconditionViolation),
+    (lambda: NonlinearCouplingSpec(*rossler_jacobian_parts(), np.eye(3),
+                                   kappa=-np.inf), PreconditionViolation),
+    (lambda: NonlinearCouplingSpec(*rossler_jacobian_parts(),
+                                   _with_nan((3, 3), 4), kappa=1.0),
+     InvalidInput),
+    (lambda: _three_oscillator(G=_with_nan((3, 3))), InvalidInput),
+    (lambda: _three_oscillator(G=[[1e308, 1e308, -1e308]] * 3),
+     PreconditionViolation),
+    (lambda: simulate_linear(
+        LinearNetworkSystem(A=np.zeros((1, 1)), H_eff=-np.eye(1), sigma=1.0,
+                            laplacian=PAIR_LAPLACIAN),
+        [[NAN], [0.0]], 1.0, 0.1), InvalidInput),
+    (lambda: simulate_agents(
+        AgentModel(A=np.zeros((1, 1)), B=np.eye(1), K=np.eye(1)),
+        PAIR_LAPLACIAN, [[0.0], [np.inf]], 1.0, 0.1), InvalidInput),
+    (lambda: simulate_nonlinear(_three_oscillator(), _with_nan((3, 3), 5),
+                                1.0, 0.1), InvalidInput),
+], ids=["A-nan", "H_eff-inf", "sigma-inf", "kappa-nan", "kappa-inf",
+        "kappa-neg-inf", "Psi1-nan", "connection-nan",
+        "connection-row-sum-overflows", "linear-x0-nan", "agents-x0-inf",
+        "nonlinear-x0-nan"])
+def test_non_finite_inputs_rejected_without_warning(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_sync_report_dict_schema():
     report = sync_error(_scalar_consensus(t_end=5.0), 1e-3)
     payload = sync_report_dict(report)
@@ -689,6 +752,60 @@ def test_diverged_trajectory_csv_bytes_match_csv_writer(tmp_path):
     traj = simulate_linear(sys, np.array([[1.0], [2.0]]), 20.0, 1e-2)
     assert traj.diverged
     _assert_csv_matches_reference(traj, tmp_path)
+
+
+# bit patterns hypothesis mixes into the arbitrary ones: +-0, the
+# smallest and largest subnormals, +-inf, quiet, signalling and negative
+# NaNs with payloads, the largest finite double
+_SPECIAL_BITS = [0x0, 0x8000000000000000, 0x1, 0x000FFFFFFFFFFFFF,
+                 0x7FF0000000000000, 0xFFF0000000000000,
+                 0x7FF8000000000000, 0x7FF0000000000001,
+                 0xFFF8DEADBEEF0001, 0x7FEFFFFFFFFFFFFF]
+
+
+@st.composite
+def _bit_pattern_trajectories(draw):
+    n_nodes = draw(st.integers(0, 7))
+    node_dim = draw(st.integers(1, 6))
+    chunk = max(1, _CSV_CHUNK_ELEMENTS // max(1, n_nodes * node_dim))
+    if chunk <= 1500 and draw(st.booleans()):
+        n_steps = chunk * draw(st.integers(1, 1500 // chunk))
+    else:
+        n_steps = draw(st.integers(1, 1500))
+    pool = np.array(draw(st.lists(
+        st.sampled_from(_SPECIAL_BITS) | st.integers(0, 2**64 - 1),
+        min_size=1, max_size=16)), dtype=np.uint64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = n_steps * (1 + n_nodes * node_dim)
+    bits = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+    mixed = rng.random(size) < 0.5
+    bits[mixed] = rng.choice(pool, size=int(mixed.sum()))
+    values = bits.view(np.float64)
+    return Trajectory(times=values[:n_steps],
+                      states=values[n_steps:].reshape(n_steps, n_nodes,
+                                                      node_dim))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(traj=_bit_pattern_trajectories())
+def test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path,
+                                                              traj):
+    _assert_csv_matches_reference(traj, tmp_path)
+
+
+def test_trajectory_csv_memory_is_bounded(tmp_path):
+    # 100,000 rows, about 7 MB of text: the writer holds one chunk of it
+    rng = np.random.default_rng(5)
+    traj = Trajectory(times=1e-3 * np.arange(20_000),
+                      states=rng.standard_normal((20_000, 5, 3)))
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_rms_amplitude_constant_trajectory():
