@@ -263,8 +263,8 @@ class ModalCouplingSpec:
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex).reshape(-1)
-        if not self.sigma > 0.0:
-            raise PreconditionViolation("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise PreconditionViolation("sigma must be positive and finite")
         if e.real.max(initial=-np.inf) > 1e-12:
             raise PreconditionViolation(
                 "modal coupling entries must have nonpositive real parts"

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionViolation, RankDeficient, ZeroGain
+from .errors import (
+    DimensionMismatch,
+    InvalidInput,
+    PreconditionViolation,
+    RankDeficient,
+    ZeroGain,
+)
 
 __all__ = [
     "AgentModel",
@@ -40,6 +46,11 @@ def _as_matrix(M, name: str) -> np.ndarray:
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix, got ndim={M.ndim}")
     return M
+
+
+def _require_finite(what: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInput(f"{what} must be finite")
 
 
 def _as_gain(K) -> np.ndarray:
@@ -67,8 +78,10 @@ class AgentModel:
             raise DimensionMismatch("B must have as many rows as A")
         if B.shape[1] > B.shape[0]:
             raise DimensionMismatch("B must have at most n columns")
-        if not self.c > 0.0:
-            raise PreconditionViolation("coupling strength c must be positive")
+        if not 0.0 < self.c < np.inf:
+            raise PreconditionViolation(
+                "coupling strength c must be positive and finite")
+        _require_finite("A and B", A, B)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         if self.K is not None:
@@ -77,6 +90,7 @@ class AgentModel:
                 raise DimensionMismatch(
                     f"K must be {B.shape[1]} x {A.shape[0]}, got {K.shape}"
                 )
+            _require_finite("K", K)
             object.__setattr__(self, "K", K)
 
     @property

@@ -30,14 +30,20 @@ flags it; a divergent run still produces a synchronization report.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import signal
+import sys
+import tempfile
 import warnings
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .coupling import _mode_spectra
-from .duality import AgentModel
+from .duality import AgentModel, _require_finite
 from .errors import (
     DimensionMismatch,
     EigensolverFailure,
@@ -87,6 +93,10 @@ _GROUP_ELEMENTS = 1 << 12
 # with one ``%`` over its cell grid and writes at once: bounds the grid,
 # the repeated row template and the chunk's text.
 _CSV_CHUNK_ELEMENTS = 1 << 12
+# Chunks each process must get before the CSV writer forks a worker:
+# starting one and collecting its part costs 13-37 ms on a 2-CPU Linux
+# VM, three to eight chunks of formatting there.
+_CSV_MIN_CHUNKS_PER_PROCESS = 8
 
 
 @dataclass(frozen=True)
@@ -287,11 +297,6 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
         ys[0] = ys[b]
         k += b
     return Trajectory(times=times, states=states, spread=spread)
-
-
-def _require_finite(what: str, *arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise InvalidInput(f"{what} must be finite")
 
 
 def _check_x0(x0, n_nodes: int, node_dim: int) -> np.ndarray:
@@ -649,10 +654,27 @@ def rms_amplitude(traj: Trajectory) -> float:
     return float(np.sqrt(np.mean(traj.states ** 2)))
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV rows ``t,node,x1..xn`` (one row per
-    time sample per node): 1-based node labels, each value the ``repr``
-    of a float, no quoting and ``\\r\\n`` line ends.
+def _csv_chunk(traj: Trajectory) -> int:
+    """Time samples per chunk of the CSV writer."""
+    return max(1, _CSV_CHUNK_ELEMENTS // max(1, traj.n_nodes * traj.node_dim))
+
+
+def _csv_processes(n_chunks: int) -> int:
+    """Processes that write one CSV of n_chunks chunks: the CPUs this
+    process may run on, but few enough that each formats at least
+    ``_CSV_MIN_CHUNKS_PER_PROCESS`` chunks.  1 off Linux, where no
+    worker is forked, and in a daemonic multiprocessing worker, which
+    may not start processes (such a worker has loaded multiprocessing)."""
+    mp = sys.modules.get("multiprocessing")
+    if sys.platform != "linux" or (mp and mp.current_process().daemon):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)),
+                      n_chunks // _CSV_MIN_CHUNKS_PER_PROCESS))
+
+
+def _write_csv_samples(traj: Trajectory, fh, start: int, stop: int) -> None:
+    """Write the CSV rows of time samples ``start:stop`` to the binary
+    file fh, one chunk of samples at a time.
 
     The rows of one time sample share a template, ``%s,<node>`` then
     ``,%r`` per component for each node in turn.  A chunk of samples
@@ -660,22 +682,103 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     Python floats, whose ``%r`` is their ``repr``, and the template
     repeated once per sample formats the whole grid in one ``%``.
     """
-    n_steps, n_nodes, n = traj.states.shape
-    chunk = max(1, _CSV_CHUNK_ELEMENTS // max(1, n_nodes * n))
+    _, n_nodes, n = traj.states.shape
+    chunk = _csv_chunk(traj)
     row = "".join(f"%s,{node + 1}" + ",%r" * n + "\r\n"
                   for node in range(n_nodes))
     cells = np.empty((chunk, n_nodes, 1 + n), dtype=object)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["t", "node"] + [f"x{i + 1}" for i in range(n)])
-                 + "\r\n")
-        for start in range(0, n_steps, chunk):
-            times = np.asarray(traj.times[start:start + chunk], dtype=float)
-            b = times.shape[0]
-            cells[:b, :, 0] = np.array(list(map(repr, times.tolist())),
-                                       dtype=object)[:, None]
-            cells[:b, :, 1:] = np.asarray(traj.states[start:start + b],
-                                          dtype=float)
-            fh.write(row * b % tuple(cells[:b].ravel().tolist()))
+    for lo in range(start, stop, chunk):
+        times = np.asarray(traj.times[lo:min(lo + chunk, stop)], dtype=float)
+        b = times.shape[0]
+        cells[:b, :, 0] = np.array(list(map(repr, times.tolist())),
+                                   dtype=object)[:, None]
+        cells[:b, :, 1:] = np.asarray(traj.states[lo:lo + b], dtype=float)
+        fh.write((row * b % tuple(cells[:b].ravel().tolist())).encode())
+
+
+# The trajectory a forked CSV worker formats, inherited rather than pickled.
+_forked_trajectory: Optional[Trajectory] = None
+
+
+def _adopt_trajectory(traj: Trajectory) -> None:
+    """Set up a forked CSV worker: keep traj, and leave an interrupt to
+    the parent, which waits for the worker and removes its part."""
+    global _forked_trajectory
+    _forked_trajectory = traj
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _write_csv_part(part: str, start: int, stop: int) -> None:
+    with open(part, "wb") as fh:
+        _write_csv_samples(_forked_trajectory, fh, start, stop)
+
+
+def _csv_worker_pool(workers: int, traj: Trajectory):
+    """A pool of ``workers`` processes forked from this one on first
+    submit, each holding ``traj``; imported here so that importing
+    netsync does not load multiprocessing."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_trajectory,
+                               initargs=(traj,))
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write a trajectory as CSV rows ``t,node,x1..xn`` (one row per
+    time sample per node): 1-based node labels, each value the ``repr``
+    of a float, no quoting and ``\\r\\n`` line ends.
+
+    On Linux a large trajectory is formatted on the CPUs this process
+    may use: W contiguous ranges of whole chunks, at least
+    ``_CSV_MIN_CHUNKS_PER_PROCESS`` each.  W - 1 forked workers, which
+    inherit the trajectory, each write one range to a part file beside
+    ``path``; meanwhile this process writes the header and the first
+    range, then appends the parts in order.  Every range goes through
+    :func:`_write_csv_samples`, so the bytes do not depend on W.  A
+    worker's exception is raised here, a worker that dies raises
+    OSError, and no part file is left behind.
+    """
+    n_steps = traj.times.shape[0]
+    chunk = _csv_chunk(traj)
+    n_chunks = -(-n_steps // chunk)
+    processes = _csv_processes(n_chunks)
+    bounds = [min(n_steps, chunk * (n_chunks * i // processes))
+              for i in range(processes + 1)]
+    parts, futures, pool = [], [], None
+    try:
+        # parts exist and the workers are forked before this process
+        # opens its own file, so no buffered bytes reach a child
+        for _ in range(processes - 1):
+            fd, part = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                        suffix=".part")
+            os.close(fd)
+            parts.append(part)
+        if parts:
+            pool = _csv_worker_pool(len(parts), traj)
+            futures = [pool.submit(_write_csv_part, part, lo, hi)
+                       for part, lo, hi in zip(parts, bounds[1:], bounds[2:])]
+        with open(path, "wb") as fh:
+            fh.write((",".join(["t", "node"]
+                               + [f"x{i + 1}" for i in range(traj.node_dim)])
+                      + "\r\n").encode())
+            _write_csv_samples(traj, fh, bounds[0], bounds[1])
+            for part, future in zip(parts, futures):
+                try:
+                    future.result()
+                except BrokenExecutor as exc:
+                    # a worker killed by a signal raised nothing itself
+                    raise OSError(f"a CSV worker died: {exc}") from exc
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        for part in parts:
+            if os.path.exists(part):
+                os.unlink(part)
 
 
 def sync_report_dict(report: SyncReport) -> dict:

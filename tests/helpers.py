@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+import sys
 
-from netsync import Laplacian, Topology, build_laplacian
+import numpy as np
+import pytest
+
+from netsync import Laplacian, Topology, build_laplacian, dynamics
 
 
 def path_topology(n: int) -> Topology:
@@ -99,3 +102,14 @@ def relative_final_state_change(traj_a, traj_b) -> float:
     """Max-norm change of the final state, relative to its magnitude."""
     fa, fb = traj_a.states[-1], traj_b.states[-1]
     return float(np.abs(fa - fb).max() / max(1.0, np.abs(fb).max()))
+
+
+def force_csv_processes(monkeypatch, processes: int) -> None:
+    """Make the trajectory CSV writer use ``processes`` processes on any
+    file of at least that many chunks; skips the test where the writer
+    never forks (off Linux)."""
+    if processes > 1 and sys.platform != "linux":
+        pytest.skip("the CSV writer forks workers on Linux only")
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity",
+                        lambda pid: set(range(processes)), raising=False)
+    monkeypatch.setattr(dynamics, "_CSV_MIN_CHUNKS_PER_PROCESS", 1)

@@ -1,10 +1,12 @@
 """Command-line interface tests.
 
 Covers the exit-code contract (0 success / expected verdict, 1 domain
-failure, 2 usage or I/O failure), report schemas, error names on stderr,
-and byte-identical outputs for identical configurations.
+failure, 2 usage or I/O failure, also when a forked CSV worker fails),
+report schemas, error names on stderr, and byte-identical outputs for
+identical configurations.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -14,7 +16,10 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import force_csv_processes
+
 import netsync
+from netsync import dynamics
 from netsync.cli import main
 from netsync.scenarios import load_fixture
 
@@ -335,6 +340,26 @@ def test_reproduce_unwritable_out_is_io_error(tmp_path, capsys):
                  "--out", str(blocker)])
     assert code == 2
     assert "InvalidInput: cannot write artifacts" in capsys.readouterr().err
+
+
+def test_reproduce_failing_csv_worker_is_io_error(tmp_path, monkeypatch,
+                                                 capsys):
+    force_csv_processes(monkeypatch, 2)
+    write = dynamics._write_csv_samples
+
+    def fail_in_worker(traj, fh, start, stop):
+        if start > 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(traj, fh, start, stop)
+
+    monkeypatch.setattr(dynamics, "_write_csv_samples", fail_in_worker)
+    code = main(["reproduce", "example4", "--t-end", "5.0",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidInput: cannot write artifacts: ")
+    assert "No space left on device" in err and "Traceback" not in err
+    assert os.listdir(tmp_path / "example4") == []
 
 
 @pytest.mark.parametrize("command", ["spectrum", "design", "dualize"])

@@ -22,10 +22,18 @@ Covers:
     inputs rejected at construction with no warning, and the per-node
     fallback for callables that broadcast wrong
   - the CSV writer byte for byte against the reference on generated
-    64-bit patterns, and its memory bounded by one chunk
+    64-bit patterns, and its memory bounded by one chunk, each also with
+    the file forced onto 1, 2 and 3 processes; its process count bounded
+    by the CPUs and the file size, one process inside a daemonic worker,
+    and a failing or killed worker or an interrupt leaving neither output
+    nor part files behind
 """
 
 import csv
+import errno
+import multiprocessing
+import os
+import signal
 import tracemalloc
 import warnings
 
@@ -34,6 +42,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
+    force_csv_processes,
     path_topology,
     random_connected_topology,
     relative_final_state_change,
@@ -69,8 +78,10 @@ from netsync import (
     verify,
     write_trajectory_csv,
 )
+from netsync import dynamics
 from netsync.dynamics import _CSV_CHUNK_ELEMENTS
 from netsync.scenarios import (
+    _atomic_write,
     designed_rossler_coupling,
     load_fixture,
     run_example3,
@@ -628,10 +639,19 @@ def _with_nan(shape, index=0):
         PAIR_LAPLACIAN, [[0.0], [np.inf]], 1.0, 0.1), InvalidInput),
     (lambda: simulate_nonlinear(_three_oscillator(), _with_nan((3, 3), 5),
                                 1.0, 0.1), InvalidInput),
+    (lambda: AgentModel(A=_with_nan((1, 1)), B=np.eye(1)), InvalidInput),
+    (lambda: AgentModel(A=np.zeros((1, 1)), B=[[np.inf]]), InvalidInput),
+    (lambda: AgentModel(A=np.zeros((1, 1)), B=np.eye(1),
+                        K=_with_nan((1, 1))), InvalidInput),
+    (lambda: AgentModel(A=np.zeros((1, 1)), B=np.eye(1), K=np.eye(1),
+                        c=np.inf), PreconditionViolation),
+    (lambda: ModalCouplingSpec(entries=[-1.0], sigma=np.inf),
+     PreconditionViolation),
 ], ids=["A-nan", "H_eff-inf", "sigma-inf", "kappa-nan", "kappa-inf",
         "kappa-neg-inf", "Psi1-nan", "connection-nan",
         "connection-row-sum-overflows", "linear-x0-nan", "agents-x0-inf",
-        "nonlinear-x0-nan"])
+        "nonlinear-x0-nan", "agent-A-nan", "agent-B-inf", "agent-K-nan",
+        "agent-c-inf", "modal-sigma-inf"])
 def test_non_finite_inputs_rejected_without_warning(call, error):
     with pytest.raises(error):
         call()
@@ -715,7 +735,15 @@ _CSV_SPECIALS = [-0.0, 5e-324, float("inf"), float("-inf"), float("nan"),
                  1e16, 1e-5, 1.2345678901234567e17]
 
 
-@pytest.mark.parametrize("n_steps, n_nodes, node_dim", [
+# the writer tests below run again with the file split over 1, 2 and 3
+# processes (a ``*_per_process_count`` test each)
+@pytest.fixture(params=[1, 2, 3], ids=["1-process", "2-processes",
+                                        "3-processes"])
+def forced_processes(request, monkeypatch):
+    force_csv_processes(monkeypatch, request.param)
+
+
+_CSV_SHAPES = pytest.mark.parametrize("n_steps, n_nodes, node_dim", [
     (1, 1, 1),
     # two full chunks of 682 samples and a partial one
     (2 * (_CSV_CHUNK_ELEMENTS // 6) + 5, 3, 2),
@@ -724,6 +752,9 @@ _CSV_SPECIALS = [-0.0, 5e-324, float("inf"), float("-inf"), float("nan"),
     (2, 0, 3),
 ], ids=["single-entry", "partial-last-chunk", "sample-above-budget",
         "no-nodes"])
+
+
+@_CSV_SHAPES
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path, n_steps, n_nodes,
                                                node_dim):
     rng = np.random.default_rng(n_steps * n_nodes * node_dim)
@@ -736,6 +767,13 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, n_steps, n_nodes,
     times[-1] = _CSV_SPECIALS[(n_steps - 1) % len(_CSV_SPECIALS)]
     _assert_csv_matches_reference(Trajectory(times=times, states=states),
                                   tmp_path)
+
+
+@_CSV_SHAPES
+def test_trajectory_csv_bytes_match_csv_writer_per_process_count(
+        tmp_path, n_steps, n_nodes, node_dim, forced_processes):
+    test_trajectory_csv_bytes_match_csv_writer(tmp_path, n_steps, n_nodes,
+                                               node_dim)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])
@@ -752,6 +790,11 @@ def test_diverged_trajectory_csv_bytes_match_csv_writer(tmp_path):
     traj = simulate_linear(sys, np.array([[1.0], [2.0]]), 20.0, 1e-2)
     assert traj.diverged
     _assert_csv_matches_reference(traj, tmp_path)
+
+
+def test_diverged_trajectory_csv_bytes_match_csv_writer_per_process_count(
+        tmp_path, forced_processes):
+    test_diverged_trajectory_csv_bytes_match_csv_writer(tmp_path)
 
 
 # bit patterns hypothesis mixes into the arbitrary ones: +-0, the
@@ -794,8 +837,13 @@ def test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path,
     _assert_csv_matches_reference(traj, tmp_path)
 
 
+def test_trajectory_csv_bit_patterns_per_process_count(
+        tmp_path, forced_processes):
+    test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path)
+
+
 def test_trajectory_csv_memory_is_bounded(tmp_path):
-    # 100,000 rows, about 7 MB of text: the writer holds one chunk of it
+    # 100,000 rows, about 7 MB of text: this process holds one chunk of it
     rng = np.random.default_rng(5)
     traj = Trajectory(times=1e-3 * np.arange(20_000),
                       states=rng.standard_normal((20_000, 5, 3)))
@@ -806,6 +854,93 @@ def test_trajectory_csv_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_trajectory_csv_memory_is_bounded_per_process_count(
+        tmp_path, forced_processes):
+    test_trajectory_csv_memory_is_bounded(tmp_path)
+
+
+@pytest.mark.parametrize("cpus, min_chunks, n_chunks, processes", [
+    (1, 1, 40, 1),
+    (2, 8, 40, 2),
+    (3, 8, 40, 3),
+    (8, 8, 40, 5),
+    (4, 8, 15, 1),
+    (4, 8, 16, 2),
+], ids=["one-cpu", "two-cpus", "three-cpus", "capped-by-size",
+        "below-threshold", "at-threshold"])
+def test_trajectory_csv_process_count(tmp_path, monkeypatch, cpus,
+                                      min_chunks, n_chunks, processes):
+    force_csv_processes(monkeypatch, cpus)
+    monkeypatch.setattr(dynamics, "_CSV_MIN_CHUNKS_PER_PROCESS", min_chunks)
+    pools = []
+    make_pool = dynamics._csv_worker_pool
+
+    def spy(workers, traj):
+        pools.append(workers)
+        return make_pool(workers, traj)
+
+    monkeypatch.setattr(dynamics, "_csv_worker_pool", spy)
+    # one state entry per sample: a chunk is _CSV_CHUNK_ELEMENTS samples
+    traj = Trajectory(times=np.arange(n_chunks * _CSV_CHUNK_ELEMENTS) * 1e-3,
+                      states=np.zeros((n_chunks * _CSV_CHUNK_ELEMENTS, 1, 1)))
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    assert pools == ([processes - 1] if processes > 1 else [])
+
+
+def _raise_enospc():
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _raise_interrupt():
+    raise KeyboardInterrupt
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("in_worker, fail, error, match", [
+    (True, _raise_enospc, OSError, "No space left"),
+    (True, _die, OSError, "CSV worker died"),
+    (False, _raise_interrupt, KeyboardInterrupt, None),
+], ids=["worker-raises", "worker-killed", "parent-interrupted"])
+def test_trajectory_csv_failure_leaves_no_files(tmp_path, monkeypatch,
+                                                processes, in_worker, fail,
+                                                error, match):
+    force_csv_processes(monkeypatch, processes)
+    write = dynamics._write_csv_samples
+
+    def fail_in_one_range(traj, fh, start, stop):
+        # the parent writes the range at 0, forked workers the others
+        if (start > 0) == in_worker:
+            fail()
+        write(traj, fh, start, stop)
+
+    monkeypatch.setattr(dynamics, "_write_csv_samples", fail_in_one_range)
+    traj = Trajectory(times=1e-3 * np.arange(2000),
+                      states=np.ones((2000, 3, 2)))
+    path = str(tmp_path / "trajectory.csv")
+    with pytest.raises(error, match=match):
+        _atomic_write(path, lambda tmp: write_trajectory_csv(traj, tmp))
+    assert os.listdir(tmp_path) == []
+
+
+def _write_csv_in_pool_worker(path):
+    write_trajectory_csv(Trajectory(times=1e-3 * np.arange(2000),
+                                    states=np.ones((2000, 3, 2))), path)
+
+
+def test_trajectory_csv_in_daemonic_worker(tmp_path, monkeypatch):
+    # a multiprocessing.Pool worker may not start processes: one writes
+    # the whole file
+    force_csv_processes(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pool.apply_async(_write_csv_in_pool_worker,
+                         (str(tmp_path / "t.csv"),)).get(timeout=60)
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_rms_amplitude_constant_trajectory():
