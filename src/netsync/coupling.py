@@ -214,22 +214,15 @@ def decompose(A) -> ModalDecomposition:
 
     cond = np.linalg.cond(vecs)
     if np.isfinite(cond) and cond < _CONDITION_LIMIT:
-        return ModalDecomposition(
-            P=_freeze(vecs),
-            P_inv=_freeze(np.linalg.inv(vecs)),
-            modal_matrix=_freeze(np.diag(vals)),
-            mode_eigenvalues=_freeze(vals),
-            condition=float(cond),
-            defective_blocks=(),
-        )
-
-    scale = max(1.0, float(np.abs(vals).max()))
-    T, P, defective = _block_modal_form(A, cluster_tol=1e-8 * scale)
-    cond = np.linalg.cond(P)
-    if not np.isfinite(cond) or cond >= _CONDITION_LIMIT:
-        raise DefectiveMatrix(
-            f"no well-conditioned modal basis (condition {cond:.3e})"
-        )
+        T, P, defective = np.diag(vals), vecs, ()
+    else:
+        scale = max(1.0, float(np.abs(vals).max()))
+        T, P, defective = _block_modal_form(A, cluster_tol=1e-8 * scale)
+        cond = np.linalg.cond(P)
+        if not np.isfinite(cond) or cond >= _CONDITION_LIMIT:
+            raise DefectiveMatrix(
+                f"no well-conditioned modal basis (condition {cond:.3e})"
+            )
     return ModalDecomposition(
         P=_freeze(P),
         P_inv=_freeze(np.linalg.inv(P)),
@@ -551,8 +544,8 @@ def verify(A, H_eff, sigma: float, lap_spectrum: LaplacianSpectrum) -> ModeAnaly
     H = np.atleast_2d(np.asarray(H_eff, dtype=float))
     if A.shape != H.shape or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"A {A.shape} and H_eff {H.shape} must match square")
-    if not sigma > 0.0:
-        raise PreconditionViolation("sigma must be positive")
+    if not 0.0 < sigma < np.inf:
+        raise PreconditionViolation("sigma must be positive and finite")
     lambdas = lap_spectrum.eigenvalues[1:]
     records = tuple(
         ModeRecord(

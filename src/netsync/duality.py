@@ -102,7 +102,8 @@ def h_from_gain(B, K) -> np.ndarray:
     """Inner coupling matrix (connection-matrix convention) from a gain.
 
     Returns ``H_paper = -B @ K``; the Laplacian-form coupling is its
-    negation, ``H_eff = B @ K``.
+    negation, ``H_eff = B @ K``.  Raises :class:`InvalidInput` when the
+    product is not finite.
     """
     B = _as_matrix(B, "B")
     K = _as_gain(K)
@@ -110,14 +111,19 @@ def h_from_gain(B, K) -> np.ndarray:
         raise DimensionMismatch(
             f"K has {K.shape[0]} rows but B has {B.shape[1]} columns"
         )
-    return -B @ K
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = -B @ K
+    _require_finite("B @ K", H)
+    return H
 
 
 def pseudo_inverse(B) -> np.ndarray:
     """Moore-Penrose pseudoinverse (B^T B)^-1 B^T of a full-column-rank B.
 
     Raises :class:`RankDeficient` when the numerical rank of B (singular
-    values above 1e-10 relative) is below its column count.
+    values above 1e-10 relative) is below its column count or B^T B is
+    singular in floating point, and :class:`InvalidInput` when B^T B is
+    not finite.
     """
     B = _as_matrix(B, "B")
     svals = np.linalg.svd(B, compute_uv=False)
@@ -125,7 +131,17 @@ def pseudo_inverse(B) -> np.ndarray:
         raise RankDeficient(
             f"B has numerical rank below its column count {B.shape[1]}"
         )
-    return np.linalg.solve(B.T @ B, B.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = B.T @ B
+    _require_finite("B^T B", gram)
+    try:
+        B_plus = np.linalg.solve(gram, B.T)
+        singular = not np.isfinite(B_plus).all()
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
+        raise RankDeficient("B^T B is singular in floating point")
+    return B_plus
 
 
 def gain_from_h(B, H_paper) -> np.ndarray:
@@ -139,6 +155,8 @@ def gain_from_h(B, H_paper) -> np.ndarray:
     ------
     RankDeficient
         If B lacks full column rank.
+    InvalidInput
+        If B^+ H_paper is not finite.
     ZeroGain
         If B^+ H_paper vanishes: the coupling carries no component in
         the input range, so no feedback can reproduce it.
@@ -150,9 +168,12 @@ def gain_from_h(B, H_paper) -> np.ndarray:
             f"H_paper must be {B.shape[0]} x {B.shape[0]}, got {H.shape}"
         )
     B_plus = pseudo_inverse(B)
-    projected = B_plus @ H
-    scale = max(1.0, np.abs(B_plus).max() * np.abs(H).max(initial=0.0))
-    if np.abs(projected).max(initial=0.0) <= 1e-12 * scale:
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = B_plus @ H
+        # scaled first, the bound overflows only above every finite value
+        tol = max(1e-12, 1e-12 * np.abs(B_plus).max() * np.abs(H).max(initial=0.0))
+    _require_finite("B^+ H_paper", projected)
+    if np.abs(projected).max(initial=0.0) <= tol:
         raise ZeroGain("B^+ H_paper = 0: coupling is orthogonal to the input range")
     return -projected
 
@@ -169,7 +190,8 @@ def controllability(A, B) -> int:
     """Numerical rank of the controllability matrix [B, AB, ..., A^(n-1)B].
 
     Singular values above ``1e-10 * sigma_max`` count toward the rank;
-    the pair (A, B) is controllable iff the result equals n.
+    the pair (A, B) is controllable iff the result equals n.  Raises
+    :class:`InvalidInput` when that matrix is not finite.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -179,9 +201,11 @@ def controllability(A, B) -> int:
         raise DimensionMismatch("B must have as many rows as A")
     n = A.shape[0]
     blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            blocks.append(A @ blocks[-1])
     ctrb = np.hstack(blocks)
+    _require_finite("the controllability matrix", ctrb)
     svals = np.linalg.svd(ctrb, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0

@@ -36,7 +36,6 @@ import signal
 import sys
 import tempfile
 import warnings
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -94,8 +93,9 @@ _GROUP_ELEMENTS = 1 << 12
 # the repeated row template and the chunk's text.
 _CSV_CHUNK_ELEMENTS = 1 << 12
 # Chunks each process must get before the CSV writer forks a worker:
-# starting one and collecting its part costs 13-37 ms on a 2-CPU Linux
-# VM, three to eight chunks of formatting there.
+# forking and reaping one costs 4-5 ms in a 141 MB process on a 2-CPU
+# Linux VM, about two chunks of formatting there, and a worker's range
+# formats more slowly than this process's.
 _CSV_MIN_CHUNKS_PER_PROCESS = 8
 
 
@@ -662,11 +662,9 @@ def _csv_chunk(traj: Trajectory) -> int:
 def _csv_processes(n_chunks: int) -> int:
     """Processes that write one CSV of n_chunks chunks: the CPUs this
     process may run on, but few enough that each formats at least
-    ``_CSV_MIN_CHUNKS_PER_PROCESS`` chunks.  1 off Linux, where no
-    worker is forked, and in a daemonic multiprocessing worker, which
-    may not start processes (such a worker has loaded multiprocessing)."""
-    mp = sys.modules.get("multiprocessing")
-    if sys.platform != "linux" or (mp and mp.current_process().daemon):
+    ``_CSV_MIN_CHUNKS_PER_PROCESS`` chunks; 1 off Linux, where no worker
+    is forked."""
+    if sys.platform != "linux":
         return 1
     return max(1, min(len(os.sched_getaffinity(0)),
                       n_chunks // _CSV_MIN_CHUNKS_PER_PROCESS))
@@ -696,34 +694,23 @@ def _write_csv_samples(traj: Trajectory, fh, start: int, stop: int) -> None:
         fh.write((row * b % tuple(cells[:b].ravel().tolist())).encode())
 
 
-# The trajectory a forked CSV worker formats, inherited rather than pickled.
-_forked_trajectory: Optional[Trajectory] = None
-
-
-def _adopt_trajectory(traj: Trajectory) -> None:
-    """Set up a forked CSV worker: keep traj, and leave an interrupt to
-    the parent, which waits for the worker and removes its part."""
-    global _forked_trajectory
-    _forked_trajectory = traj
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _write_csv_part(part: str, start: int, stop: int) -> None:
-    with open(part, "wb") as fh:
-        _write_csv_samples(_forked_trajectory, fh, start, stop)
-
-
-def _csv_worker_pool(workers: int, traj: Trajectory):
-    """A pool of ``workers`` processes forked from this one on first
-    submit, each holding ``traj``; imported here so that importing
-    netsync does not load multiprocessing."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt_trajectory,
-                               initargs=(traj,))
+def _fork_csv_worker(traj: Trajectory, part, start: int, stop: int) -> int:
+    """Fork a process that writes samples ``start:stop`` of traj to the
+    binary file part and returns its pid.  The worker inherits traj and
+    part, leaves an interrupt to this process, and ends through
+    ``os._exit`` (0 once the part is flushed, 1 on any exception) without
+    flushing other inherited buffers or returning into the caller."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            _write_csv_samples(traj, part, start, stop)
+            part.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -733,13 +720,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     On Linux a large trajectory is formatted on the CPUs this process
     may use: W contiguous ranges of whole chunks, at least
-    ``_CSV_MIN_CHUNKS_PER_PROCESS`` each.  W - 1 forked workers, which
-    inherit the trajectory, each write one range to a part file beside
-    ``path``; meanwhile this process writes the header and the first
-    range, then appends the parts in order.  Every range goes through
-    :func:`_write_csv_samples`, so the bytes do not depend on W.  A
-    worker's exception is raised here, a worker that dies raises
-    OSError, and no part file is left behind.
+    ``_CSV_MIN_CHUNKS_PER_PROCESS`` each.  W - 1 forked workers each
+    write one range to an unnamed temporary file beside ``path``;
+    meanwhile this process writes the header and the first range, then
+    reaps the workers in order and appends each part.  The range of a
+    worker that failed or was killed is written here instead, so an
+    error such as a full disk is raised here as itself.  Every range
+    goes through :func:`_write_csv_samples`, so the bytes do not depend
+    on W, and no worker or part outlives the call.
     """
     n_steps = traj.times.shape[0]
     chunk = _csv_chunk(traj)
@@ -747,38 +735,31 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     processes = _csv_processes(n_chunks)
     bounds = [min(n_steps, chunk * (n_chunks * i // processes))
               for i in range(processes + 1)]
-    parts, futures, pool = [], [], None
+    parts, pids, reaped = [], [], 0
     try:
-        # parts exist and the workers are forked before this process
-        # opens its own file, so no buffered bytes reach a child
-        for _ in range(processes - 1):
-            fd, part = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                        suffix=".part")
-            os.close(fd)
-            parts.append(part)
-        if parts:
-            pool = _csv_worker_pool(len(parts), traj)
-            futures = [pool.submit(_write_csv_part, part, lo, hi)
-                       for part, lo, hi in zip(parts, bounds[1:], bounds[2:])]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            parts.append(tempfile.TemporaryFile(
+                dir=os.path.dirname(path) or "."))
+            pids.append(_fork_csv_worker(traj, parts[-1], lo, hi))
         with open(path, "wb") as fh:
             fh.write((",".join(["t", "node"]
                                + [f"x{i + 1}" for i in range(traj.node_dim)])
                       + "\r\n").encode())
             _write_csv_samples(traj, fh, bounds[0], bounds[1])
-            for part, future in zip(parts, futures):
-                try:
-                    future.result()
-                except BrokenExecutor as exc:
-                    # a worker killed by a signal raised nothing itself
-                    raise OSError(f"a CSV worker died: {exc}") from exc
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh)
+            for part, pid, lo, hi in zip(parts, pids, bounds[1:], bounds[2:]):
+                status = os.waitpid(pid, 0)[1]
+                reaped += 1
+                if status == 0:
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh)
+                else:
+                    _write_csv_samples(traj, fh, lo, hi)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         for part in parts:
-            if os.path.exists(part):
-                os.unlink(part)
+            part.close()
 
 
 def sync_report_dict(report: SyncReport) -> dict:

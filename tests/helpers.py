@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import numpy as np
@@ -113,3 +114,9 @@ def force_csv_processes(monkeypatch, processes: int) -> None:
     monkeypatch.setattr(dynamics.os, "sched_getaffinity",
                         lambda pid: set(range(processes)), raising=False)
     monkeypatch.setattr(dynamics, "_CSV_MIN_CHUNKS_PER_PROCESS", 1)
+
+
+def assert_no_child_left() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,9 +1,9 @@
 """Command-line interface tests.
 
 Covers the exit-code contract (0 success / expected verdict, 1 domain
-failure, 2 usage or I/O failure, also when a forked CSV worker fails),
-report schemas, error names on stderr, and byte-identical outputs for
-identical configurations.
+failure, 2 usage or I/O failure, also when the range of a failed forked
+CSV worker fails again in the parent), report schemas, error names on
+stderr, and byte-identical outputs for identical configurations.
 """
 
 import errno
@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import force_csv_processes
+from helpers import assert_no_child_left, force_csv_processes
 
 import netsync
 from netsync import dynamics
@@ -271,18 +271,22 @@ def test_dualize_zero_gain_is_domain_error(tmp_path, capsys):
 
 
 def test_dualize_rank_deficient_is_domain_error(tmp_path, capsys):
-    b_file = _write_json(tmp_path / "B.json", [[1.0, 1.0], [1.0, 1.0]])
     h_file = _write_json(tmp_path / "H.json", [[1.0, 0.0], [0.0, 1.0]])
-    code = main(["dualize", "--direction", "h-to-gain", "--B", b_file,
-                 "--H", h_file])
-    assert code == 1
-    assert "RankDeficient" in capsys.readouterr().err
+    # a rank-1 B, and a B of full rank whose B^T B underflows to zero
+    for name, B in (("rank-1", [[1.0, 1.0], [1.0, 1.0]]),
+                    ("subnormal", [[5e-324, 0.0], [0.0, 5e-324]])):
+        b_file = _write_json(tmp_path / f"B_{name}.json", B)
+        code = main(["dualize", "--direction", "h-to-gain", "--B", b_file,
+                     "--H", h_file])
+        assert code == 1, name
+        assert "RankDeficient" in capsys.readouterr().err, name
 
 
 def test_dualize_gain_not_fitting_b_is_usage_error(tmp_path, capsys):
     # B is 2 x 1, so K must be 1 x 2: neither a size that does not divide
     # nor a 1 x 3 gain (which would give a 2 x 3 H_eff) is accepted, and
-    # neither is a fitting K with a NaN or negative coupling strength
+    # neither is a fitting K with a NaN or negative coupling strength, nor
+    # a product that overflows
     b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
     for name, K, extra in (
             ("odd", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], []),
@@ -293,6 +297,20 @@ def test_dualize_gain_not_fitting_b_is_usage_error(tmp_path, capsys):
         k_file = _write_json(tmp_path / f"K_{name}.json", K)
         code = main(["dualize", "--direction", "gain-to-h", "--B", b_file,
                      "--K", k_file] + extra)
+        assert code == 2, name
+        assert "InvalidInput" in capsys.readouterr().err, name
+    # finite matrices whose H_paper, Krylov blocks or B^T B overflow
+    big = _write_json(tmp_path / "big.json", [[1e308, 1e308], [1e308, 1e308]])
+    ones = _write_json(tmp_path / "ones.json", [[1.0, 1.0], [1.0, 1.0]])
+    eye = _write_json(tmp_path / "eye.json", [[1.0, 0.0], [0.0, 1.0]])
+    column = _write_json(tmp_path / "column.json", [[1e200], [1e200]])
+    for name, argv in (
+            ("H_paper", ["gain-to-h", "--B", big, "--K", big, "--A", big]),
+            ("krylov", ["gain-to-h", "--B", ones, "--K", eye, "--A", big]),
+            ("gram", ["h-to-gain", "--B", column, "--H", eye])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dualize", "--direction"] + argv)
         assert code == 2, name
         assert "InvalidInput" in capsys.readouterr().err, name
 
@@ -347,12 +365,13 @@ def test_reproduce_failing_csv_worker_is_io_error(tmp_path, monkeypatch,
     force_csv_processes(monkeypatch, 2)
     write = dynamics._write_csv_samples
 
-    def fail_in_worker(traj, fh, start, stop):
+    # a worker's range fails, then again when the parent writes it
+    def fail_past_range_0(traj, fh, start, stop):
         if start > 0:
             raise OSError(errno.ENOSPC, "No space left on device")
         write(traj, fh, start, stop)
 
-    monkeypatch.setattr(dynamics, "_write_csv_samples", fail_in_worker)
+    monkeypatch.setattr(dynamics, "_write_csv_samples", fail_past_range_0)
     code = main(["reproduce", "example4", "--t-end", "5.0",
                  "--out", str(tmp_path)])
     assert code == 2
@@ -360,6 +379,7 @@ def test_reproduce_failing_csv_worker_is_io_error(tmp_path, monkeypatch,
     assert err.startswith("InvalidInput: cannot write artifacts: ")
     assert "No space left on device" in err and "Traceback" not in err
     assert os.listdir(tmp_path / "example4") == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "design", "dualize"])

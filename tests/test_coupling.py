@@ -12,10 +12,13 @@ Covers:
   - realize: fixture regressions (entrywise to the printed precision),
     scalar commutation, conjugate-closure residue gate
   - verify: closed-form mode eigenvalues for diagonal couplings, the
-    2x2 trace/determinant oracle on the consensus fixture
+    2x2 trace/determinant oracle on the consensus fixture, sigma outside
+    (0, inf) rejected
   - properties: realization round-trip, design soundness over random
     instances, exact pole placement, H_paper = -H_eff
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -314,9 +317,13 @@ def test_verify_consensus_fixture_against_2x2_oracle(fx3):
 
 
 def test_verify_requires_positive_sigma(fx1):
+    # finite too: an infinite sigma is rejected without a warning
     lap_spec = spectrum(Laplacian(np.array(fx1["laplacian"], float)))
-    with pytest.raises(PreconditionViolation):
-        verify(np.eye(5), np.eye(5), 0.0, lap_spec)
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionViolation):
+                verify(np.eye(5), np.eye(5), sigma, lap_spec)
 
 
 # ── properties ───────────────────────────────────────────────────────────────

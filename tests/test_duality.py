@@ -3,12 +3,17 @@
 Covers:
   - h_from_gain against the consensus fixture matrices
   - pseudoinverse: worked values, left-inverse property, the four
-    Moore-Penrose conditions, rank rejection
+    Moore-Penrose conditions, rank rejection (also of a B^T B singular
+    in floating point)
+  - overflowing products rejected as InvalidInput without a warning
   - gain recovery: exactness on representable couplings, ZeroGain on
-    range-orthogonal couplings, least-squares residual reporting
+    range-orthogonal couplings (and not on a projection whose scale
+    bound overflows), least-squares residual reporting
   - controllability rank on fixture and degenerate pairs
   - round-trip identity over 100 random full-column-rank pairs
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ import pytest
 from netsync import (
     AgentModel,
     DimensionMismatch,
+    InvalidInput,
     PreconditionViolation,
     RankDeficient,
     ZeroGain,
@@ -92,6 +98,24 @@ def test_pseudo_inverse_moore_penrose_conditions():
 def test_pseudo_inverse_rank_gate():
     with pytest.raises(RankDeficient):
         pseudo_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    # full rank by its singular values, but B^T B is zero (5e-324) or
+    # subnormal (1e-160) in floating point
+    for tiny in (5e-324, 1e-160):
+        with pytest.raises(RankDeficient):
+            pseudo_inverse(np.diag([tiny, tiny]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: h_from_gain(np.full((2, 2), 1e308), np.full((2, 2), 1e308)),
+    lambda: pseudo_inverse(np.array([[1e200], [1e200]])),
+    lambda: gain_from_h(np.diag([1e-150, 1e-150]), np.diag([1e300, 1e300])),
+    lambda: controllability(np.full((2, 2), 1e308), np.ones((2, 2))),
+], ids=["h_from_gain", "pseudo_inverse", "gain_from_h", "controllability"])
+def test_overflowing_product_is_invalid_input_without_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            call()
 
 
 # ── gain_from_h ──────────────────────────────────────────────────────────────
@@ -111,6 +135,11 @@ def test_gain_recovery_identity_input():
 def test_gain_recovery_zero_gain_gate():
     with pytest.raises(ZeroGain):
         gain_from_h(np.array([[1.0], [0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]]))
+    # |B^+| * |H| overflows, but B^+ H = diag(0, 1e305) is finite and not 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = gain_from_h(np.diag([1e-150, 1e-145]), np.diag([0.0, 1e160]))
+    assert K[1, 1] == pytest.approx(-1e305)
 
 
 def test_gain_recovery_least_squares_residual():

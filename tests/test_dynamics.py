@@ -24,9 +24,10 @@ Covers:
   - the CSV writer byte for byte against the reference on generated
     64-bit patterns, and its memory bounded by one chunk, each also with
     the file forced onto 1, 2 and 3 processes; its process count bounded
-    by the CPUs and the file size, one process inside a daemonic worker,
-    and a failing or killed worker or an interrupt leaving neither output
-    nor part files behind
+    by the CPUs and the file size, the file split inside a daemonic
+    worker too, the range of a killed worker written by the parent, a
+    worker ignoring SIGINT, a failing worker or an interrupt leaving no
+    file behind, and no worker left unreaped
 """
 
 import csv
@@ -42,6 +43,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
+    assert_no_child_left,
     force_csv_processes,
     path_topology,
     random_connected_topology,
@@ -726,6 +728,7 @@ def _reference_csv(traj, path):
 
 def _assert_csv_matches_reference(traj, tmp_path):
     write_trajectory_csv(traj, tmp_path / "fast.csv")
+    assert_no_child_left()
     _reference_csv(traj, tmp_path / "reference.csv")
     assert ((tmp_path / "fast.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
@@ -874,19 +877,20 @@ def test_trajectory_csv_process_count(tmp_path, monkeypatch, cpus,
                                       min_chunks, n_chunks, processes):
     force_csv_processes(monkeypatch, cpus)
     monkeypatch.setattr(dynamics, "_CSV_MIN_CHUNKS_PER_PROCESS", min_chunks)
-    pools = []
-    make_pool = dynamics._csv_worker_pool
+    forks = []
+    fork = os.fork
 
-    def spy(workers, traj):
-        pools.append(workers)
-        return make_pool(workers, traj)
+    def spy():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(dynamics, "_csv_worker_pool", spy)
+    monkeypatch.setattr(os, "fork", spy)
     # one state entry per sample: a chunk is _CSV_CHUNK_ELEMENTS samples
     traj = Trajectory(times=np.arange(n_chunks * _CSV_CHUNK_ELEMENTS) * 1e-3,
                       states=np.zeros((n_chunks * _CSV_CHUNK_ELEMENTS, 1, 1)))
     write_trajectory_csv(traj, tmp_path / "trajectory.csv")
-    assert pools == ([processes - 1] if processes > 1 else [])
+    assert len(forks) == processes - 1
+    assert_no_child_left()
 
 
 def _raise_enospc():
@@ -897,50 +901,102 @@ def _raise_interrupt():
     raise KeyboardInterrupt
 
 
-def _die():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-@pytest.mark.parametrize("processes", [2, 3])
-@pytest.mark.parametrize("in_worker, fail, error, match", [
-    (True, _raise_enospc, OSError, "No space left"),
-    (True, _die, OSError, "CSV worker died"),
-    (False, _raise_interrupt, KeyboardInterrupt, None),
-], ids=["worker-raises", "worker-killed", "parent-interrupted"])
-def test_trajectory_csv_failure_leaves_no_files(tmp_path, monkeypatch,
-                                                processes, in_worker, fail,
-                                                error, match):
-    force_csv_processes(monkeypatch, processes)
+def _fail_in_ranges(monkeypatch, fail, in_range):
+    """Make the CSV writer call fail() before writing any range for which
+    in_range(start) holds."""
     write = dynamics._write_csv_samples
 
-    def fail_in_one_range(traj, fh, start, stop):
-        # the parent writes the range at 0, forked workers the others
-        if (start > 0) == in_worker:
+    def failing(traj, fh, start, stop):
+        if in_range(start):
             fail()
         write(traj, fh, start, stop)
 
-    monkeypatch.setattr(dynamics, "_write_csv_samples", fail_in_one_range)
-    traj = Trajectory(times=1e-3 * np.arange(2000),
-                      states=np.ones((2000, 3, 2)))
+    monkeypatch.setattr(dynamics, "_write_csv_samples", failing)
+
+
+# 2000 samples of 3 nodes: 3 chunks, split by force_csv_processes
+_SPLIT_TRAJECTORY = Trajectory(times=1e-3 * np.arange(2000),
+                               states=np.ones((2000, 3, 2)))
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("fail, in_range, error, match", [
+    # a worker's range fails again when this process writes it
+    (_raise_enospc, lambda start: start > 0, OSError, "No space left"),
+    # this process writes the range at 0, forked workers the others
+    (_raise_interrupt, lambda start: start == 0, KeyboardInterrupt, None),
+], ids=["worker-raises", "parent-interrupted"])
+def test_trajectory_csv_failure_leaves_no_files(tmp_path, monkeypatch,
+                                                processes, fail, in_range,
+                                                error, match):
+    force_csv_processes(monkeypatch, processes)
+    _fail_in_ranges(monkeypatch, fail, in_range)
     path = str(tmp_path / "trajectory.csv")
     with pytest.raises(error, match=match):
-        _atomic_write(path, lambda tmp: write_trajectory_csv(traj, tmp))
+        _atomic_write(path, lambda tmp: write_trajectory_csv(
+            _SPLIT_TRAJECTORY, tmp))
     assert os.listdir(tmp_path) == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_trajectory_csv_killed_worker_range_written_here(tmp_path,
+                                                         monkeypatch,
+                                                         processes):
+    # every worker dies by SIGKILL; this process writes their ranges
+    force_csv_processes(monkeypatch, processes)
+    parent = os.getpid()
+    _fail_in_ranges(monkeypatch,
+                    lambda: os.kill(os.getpid(), signal.SIGKILL),
+                    lambda start: os.getpid() != parent)
+    write_trajectory_csv(_SPLIT_TRAJECTORY, tmp_path / "fast.csv")
+    _reference_csv(_SPLIT_TRAJECTORY, tmp_path / "reference.csv")
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert sorted(os.listdir(tmp_path)) == ["fast.csv", "reference.csv"]
+    assert_no_child_left()
+
+
+def test_trajectory_csv_worker_ignores_interrupt(tmp_path, monkeypatch):
+    # an interrupt is left to this process: a worker sent SIGINT still
+    # writes its part, and this process writes range 0 only
+    force_csv_processes(monkeypatch, 2)
+    parent, starts = os.getpid(), []
+    write = dynamics._write_csv_samples
+
+    def interrupted(traj, fh, start, stop):
+        if os.getpid() == parent:
+            starts.append(start)
+        else:
+            os.kill(os.getpid(), signal.SIGINT)
+        write(traj, fh, start, stop)
+
+    monkeypatch.setattr(dynamics, "_write_csv_samples", interrupted)
+    write_trajectory_csv(_SPLIT_TRAJECTORY, tmp_path / "fast.csv")
+    _reference_csv(_SPLIT_TRAJECTORY, tmp_path / "reference.csv")
+    assert starts == [0]
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert_no_child_left()
 
 
 def _write_csv_in_pool_worker(path):
-    write_trajectory_csv(Trajectory(times=1e-3 * np.arange(2000),
-                                    states=np.ones((2000, 3, 2))), path)
+    write_trajectory_csv(_SPLIT_TRAJECTORY, path)
 
 
 def test_trajectory_csv_in_daemonic_worker(tmp_path, monkeypatch):
-    # a multiprocessing.Pool worker may not start processes: one writes
-    # the whole file
+    # a multiprocessing.Pool worker may not start multiprocessing
+    # processes, but os.fork works there: the file is split as anywhere
     force_csv_processes(monkeypatch, 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         pool.apply_async(_write_csv_in_pool_worker,
                          (str(tmp_path / "t.csv"),)).get(timeout=60)
+    pool.join()
     assert os.listdir(tmp_path) == ["t.csv"]
+    _reference_csv(_SPLIT_TRAJECTORY, tmp_path / "reference.csv")
+    assert ((tmp_path / "t.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert_no_child_left()
 
 
 def test_rms_amplitude_constant_trajectory():
