@@ -78,7 +78,7 @@ def _load_matrix(path) -> np.ndarray:
     return m
 
 
-def _require_positive(flag: str, value) -> None:
+def _require_positive_flag(flag: str, value) -> None:
     """Reject a numeric flag that is not finite and positive."""
     if not (np.isfinite(value) and value > 0.0):
         raise InvalidInput(f"{flag} must be positive and finite")
@@ -129,7 +129,7 @@ def _parse_poles(text, n: int):
 
 
 def _cmd_design(args) -> int:
-    _require_positive("--sigma", args.sigma)
+    _require_positive_flag("--sigma", args.sigma)
     if not np.isfinite(args.margin):
         raise InvalidInput("--margin must be finite")
     if args.argument is not None and not np.isfinite(args.argument):
@@ -170,7 +170,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
-    _require_positive("--c", args.c)
+    _require_positive_flag("--c", args.c)
     B = _load_matrix(args.B)
     payload: dict = {"B": B.tolist(), "c": args.c}
     if args.direction == "gain-to-h":

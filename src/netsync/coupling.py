@@ -36,6 +36,9 @@ from .errors import (
     EigensolverFailure,
     PreconditionViolation,
     RealizationResidue,
+    _require_finite,
+    _require_positive,
+    _square_matrices,
 )
 from .gershgorin import real_projection
 from .graph import LaplacianSpectrum, _freeze
@@ -170,6 +173,8 @@ def _block_modal_form(A: np.ndarray, cluster_tol: float):
             step_inv[i0:i1, j0:j1] = -X
             T = step_inv @ T @ step
             S = S @ step
+            if not (np.isfinite(T).all() and np.isfinite(S).all()):
+                raise DefectiveMatrix("the block similarity overflows")
 
     # Zero out the decoupled blocks exactly (they are ~1e-16 after the
     # similarity) and drop negligible nilpotent parts inside clusters.
@@ -198,15 +203,15 @@ def decompose(A) -> ModalDecomposition:
 
     Raises
     ------
+    InvalidInput
+        If A has a non-finite entry.
     DefectiveMatrix
         If no modal basis with condition number below 1e12 exists (e.g.
         nearly coincident but distinct eigenvalue clusters).
     EigensolverFailure
         If the underlying eigensolver does not converge.
     """
-    A = np.atleast_2d(np.asarray(A))
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {A.shape}")
+    A, = _square_matrices("A", A, dtype=None)
     try:
         vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
@@ -217,7 +222,8 @@ def decompose(A) -> ModalDecomposition:
         T, P, defective = np.diag(vals), vecs, ()
     else:
         scale = max(1.0, float(np.abs(vals).max()))
-        T, P, defective = _block_modal_form(A, cluster_tol=1e-8 * scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            T, P, defective = _block_modal_form(A, cluster_tol=1e-8 * scale)
         cond = np.linalg.cond(P)
         if not np.isfinite(cond) or cond >= _CONDITION_LIMIT:
             raise DefectiveMatrix(
@@ -256,8 +262,8 @@ class ModalCouplingSpec:
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex).reshape(-1)
-        if not 0.0 < self.sigma < np.inf:
-            raise PreconditionViolation("sigma must be positive and finite")
+        _require_positive("sigma", self.sigma)
+        _require_finite("modal coupling entries", e)
         if e.real.max(initial=-np.inf) > 1e-12:
             raise PreconditionViolation(
                 "modal coupling entries must have nonpositive real parts"
@@ -267,6 +273,7 @@ class ModalCouplingSpec:
             od = np.asarray(self.off_diagonal, dtype=complex)
             if od.shape != (e.size, e.size):
                 raise DimensionMismatch("off_diagonal must be n x n")
+            _require_finite("off_diagonal", od)
             if np.abs(np.diag(od)).max(initial=0.0) != 0.0:
                 raise PreconditionViolation("off_diagonal must have zero diagonal")
             object.__setattr__(self, "off_diagonal", _freeze(od))
@@ -357,6 +364,7 @@ def _real_levels(decomp: ModalDecomposition, lambda2_real: float,
     the uniform level -(max Re + margin) / (sigma * lambda2), clamped at
     zero when the node dynamic is already stable by more than margin.
     """
+    _require_positive("sigma * Re(lambda2)", sigma * lambda2_real)
     max_re = float(decomp.mode_eigenvalues.real.max())
     n = decomp.n
     if poles is not None:
@@ -365,7 +373,8 @@ def _real_levels(decomp: ModalDecomposition, lambda2_real: float,
             raise DimensionMismatch(f"need {n} poles, got {p.size}")
         if not np.all(p < 0.0):
             raise PreconditionViolation("requested poles must be negative")
-        levels = -(max_re - p) / (sigma * lambda2_real)
+        with np.errstate(over="ignore"):  # ModalCouplingSpec rejects inf
+            levels = -(max_re - p) / (sigma * lambda2_real)
         if np.any(levels > 0.0):
             raise PreconditionViolation(
                 "a requested pole lies right of the dominant mode; "
@@ -374,6 +383,7 @@ def _real_levels(decomp: ModalDecomposition, lambda2_real: float,
     elif not margin >= 0.0:
         raise PreconditionViolation("margin must be nonnegative")
     else:
+        _require_finite("margin", margin)
         levels = np.full(n, -max(max_re + margin, 0.0) / (sigma * lambda2_real))
     pairs = _conjugate_pairs(decomp.mode_eigenvalues)
     if any(levels[i] != levels[j] for i, j in pairs):
@@ -460,14 +470,15 @@ def design_directed(decomp: ModalDecomposition, lambda2: complex,
 
     levels, pairs = _real_levels(decomp, lam2.real, poles, margin, sigma)
     entries = levels.astype(complex)  # real modes: argument folded to pi
-    for i_plus, i_minus in pairs:
-        level = levels[i_plus]
-        if level == 0.0:
-            entries[[i_plus, i_minus]] = 0.0  # +0j, also for a level of -0.0
-            continue
-        modulus = level / np.cos(argument)  # cos < 0, level <= 0 -> m >= 0
-        entries[i_plus] = modulus * np.exp(1j * argument)
-        entries[i_minus] = np.conj(entries[i_plus])
+    with np.errstate(over="ignore", invalid="ignore"):  # the spec rejects inf
+        for i_plus, i_minus in pairs:
+            level = levels[i_plus]
+            if level == 0.0:
+                entries[[i_plus, i_minus]] = 0.0  # +0j, also for -0.0
+                continue
+            modulus = level / np.cos(argument)  # cos < 0, level <= 0: m >= 0
+            entries[i_plus] = modulus * np.exp(1j * argument)
+            entries[i_minus] = np.conj(entries[i_plus])
     _check_defective_constancy(decomp, entries, "designed modal entries")
     return ModalCouplingSpec(entries=entries, sigma=sigma)
 
@@ -478,13 +489,16 @@ def realize(spec: ModalCouplingSpec, decomp: ModalDecomposition) -> CouplingMatr
     Computes ``H_eff = Re(P M P^-1)`` with M the modal coupling matrix.
     When the spec is conjugate-closed the product is real up to rounding;
     a residue above ``1e-8 * ||H_eff||_inf`` raises
-    :class:`RealizationResidue` instead of silently discarding it.
+    :class:`RealizationResidue` instead of silently discarding it, and a
+    product that overflows raises :class:`InvalidInput`.
     """
     if spec.n != decomp.n:
         raise DimensionMismatch(
             f"spec has {spec.n} entries but decomposition is {decomp.n}-dimensional"
         )
-    raw = decomp.P @ spec.modal_matrix() @ decomp.P_inv
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = decomp.P @ spec.modal_matrix() @ decomp.P_inv
+    _require_finite("the realized coupling P M P^-1", raw)
     H_eff = real_projection(raw)
     residue = float(np.abs(raw.imag).max(initial=0.0))
     scale = max(np.abs(H_eff).max(initial=0.0), 1e-30)
@@ -523,10 +537,14 @@ def _mode_spectra(A, H_eff, sigma: float, lambdas) -> np.ndarray:
     rows of one array computed by a single stacked eigensolve."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H_eff, dtype=float))
-    scaled = sigma * np.asarray(lambdas, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = sigma * np.asarray(lambdas, dtype=complex)
+        modes = A + scaled[:, None, None] * H
     try:
-        return np.linalg.eigvals(A + scaled[:, None, None] * H)
-    except np.linalg.LinAlgError as exc:
+        return np.linalg.eigvals(modes)
+    except np.linalg.LinAlgError as exc:  # also raised for inf or NaN
+        _require_finite("the mode matrices A + sigma * lambda_k * H_eff",
+                        modes)
         raise EigensolverFailure(
             f"mode eigendecomposition failed: {exc}"
         ) from exc
@@ -540,12 +558,8 @@ def verify(A, H_eff, sigma: float, lap_spectrum: LaplacianSpectrum) -> ModeAnaly
     computed (complex lambda_k gives a complex mode matrix), and the
     design passes iff every mode's largest real part is below -1e-9.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    H = np.atleast_2d(np.asarray(H_eff, dtype=float))
-    if A.shape != H.shape or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"A {A.shape} and H_eff {H.shape} must match square")
-    if not 0.0 < sigma < np.inf:
-        raise PreconditionViolation("sigma must be positive and finite")
+    A, H = _square_matrices("A and H_eff", A, H_eff)
+    _require_positive("sigma", sigma)
     lambdas = lap_spectrum.eigenvalues[1:]
     records = tuple(
         ModeRecord(

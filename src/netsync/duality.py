@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvalidInput,
-    PreconditionViolation,
     RankDeficient,
     ZeroGain,
+    _require_finite,
+    _require_positive,
+    _square_matrices,
 )
 
 __all__ = [
@@ -48,11 +49,6 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return M
 
 
-def _require_finite(what: str, *arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise InvalidInput(f"{what} must be finite")
-
-
 def _as_gain(K) -> np.ndarray:
     """A gain matrix; a flat K is one row."""
     K = np.asarray(K, dtype=float)
@@ -70,18 +66,14 @@ class AgentModel:
     c: float = 1.0
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
+        A, = _square_matrices("A", self.A)
         B = _as_matrix(self.B, "B")
-        if A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(f"A must be square, got {A.shape}")
         if B.shape[0] != A.shape[0]:
             raise DimensionMismatch("B must have as many rows as A")
         if B.shape[1] > B.shape[0]:
             raise DimensionMismatch("B must have at most n columns")
-        if not 0.0 < self.c < np.inf:
-            raise PreconditionViolation(
-                "coupling strength c must be positive and finite")
-        _require_finite("A and B", A, B)
+        _require_positive("coupling strength c", self.c)
+        _require_finite("B", B)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         if self.K is not None:
@@ -122,10 +114,11 @@ def pseudo_inverse(B) -> np.ndarray:
 
     Raises :class:`RankDeficient` when the numerical rank of B (singular
     values above 1e-10 relative) is below its column count or B^T B is
-    singular in floating point, and :class:`InvalidInput` when B^T B is
-    not finite.
+    singular in floating point, and :class:`InvalidInput` when B or B^T B
+    is not finite.
     """
     B = _as_matrix(B, "B")
+    _require_finite("B", B)
     svals = np.linalg.svd(B, compute_uv=False)
     if svals.size == 0 or np.count_nonzero(svals > _RANK_TOL * svals[0]) < B.shape[1]:
         raise RankDeficient(
@@ -156,7 +149,7 @@ def gain_from_h(B, H_paper) -> np.ndarray:
     RankDeficient
         If B lacks full column rank.
     InvalidInput
-        If B^+ H_paper is not finite.
+        If B, H_paper or B^+ H_paper is not finite.
     ZeroGain
         If B^+ H_paper vanishes: the coupling carries no component in
         the input range, so no feedback can reproduce it.
@@ -179,11 +172,18 @@ def gain_from_h(B, H_paper) -> np.ndarray:
 
 
 def recovery_residual(B, H_paper, K) -> float:
-    """Max-norm residual ||H_paper + B K||_inf of a recovered gain."""
+    """Max-norm residual ||H_paper + B K||_inf of a recovered gain.
+    Raises :class:`InvalidInput` when it is not finite."""
     B = _as_matrix(B, "B")
     H = _as_matrix(H_paper, "H_paper")
     K = _as_gain(K)
-    return float(np.abs(H + B @ K).max(initial=0.0))
+    if H.shape != (B.shape[0],) * 2 or K.shape != B.shape[::-1]:
+        raise DimensionMismatch(
+            f"H_paper {H.shape} and K {K.shape} do not fit B {B.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(H + B @ K).max(initial=0.0)
+    _require_finite("H_paper + B K", residual)
+    return float(residual)
 
 
 def controllability(A, B) -> int:
@@ -191,12 +191,10 @@ def controllability(A, B) -> int:
 
     Singular values above ``1e-10 * sigma_max`` count toward the rank;
     the pair (A, B) is controllable iff the result equals n.  Raises
-    :class:`InvalidInput` when that matrix is not finite.
+    :class:`InvalidInput` when A, B or that matrix is not finite.
     """
-    A = _as_matrix(A, "A")
+    A, = _square_matrices("A", A)
     B = _as_matrix(B, "B")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
     if B.shape[0] != A.shape[0]:
         raise DimensionMismatch("B must have as many rows as A")
     n = A.shape[0]

@@ -42,12 +42,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coupling import _mode_spectra
-from .duality import AgentModel, _require_finite
+from .duality import AgentModel
 from .errors import (
     DimensionMismatch,
     EigensolverFailure,
     InvalidInput,
     PreconditionViolation,
+    _require_finite,
+    _require_positive,
+    _square_matrices,
 )
 from .graph import Laplacian
 
@@ -110,15 +113,8 @@ class LinearNetworkSystem:
     laplacian: Laplacian
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        H = np.atleast_2d(np.asarray(self.H_eff, dtype=float))
-        if A.shape != H.shape or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(
-                f"A {A.shape} and H_eff {H.shape} must be square and equal"
-            )
-        _require_finite("A and H_eff", A, H)
-        if not 0.0 < self.sigma < np.inf:
-            raise PreconditionViolation("sigma must be positive and finite")
+        A, H = _square_matrices("A and H_eff", self.A, self.H_eff)
+        _require_positive("sigma", self.sigma)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "H_eff", H)
 
@@ -148,8 +144,11 @@ class Trajectory:
     spread: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.times.shape[0] != self.states.shape[0]:
-            raise DimensionMismatch("times and states lengths differ")
+        if self.states.ndim != 3 or self.times.shape != self.states.shape[:1]:
+            raise DimensionMismatch(
+                "states must be (times, nodes, node_dim), one row per time")
+        if self.states.shape[0] == 0:
+            raise PreconditionViolation("trajectory is empty")
         if self.spread is not None and self.spread.shape != (
                 self.states.shape[0], self.states.shape[2]):
             raise DimensionMismatch("spread must be (times, node_dim)")
@@ -196,8 +195,10 @@ def _time_grid(t_end: float, dt: float) -> np.ndarray:
 
 
 def _integrate_rk4(rhs: Callable[[np.ndarray], np.ndarray],
-                   x0: np.ndarray, times: np.ndarray) -> Trajectory:
-    """Classical RK4 over a uniform grid with divergence truncation.
+                   x0: np.ndarray, times: np.ndarray) -> tuple:
+    """Classical RK4 over a uniform grid with divergence truncation:
+    ``(times, states, diverged)``, the fields of a :class:`Trajectory`
+    when x0 is one (N, n) state and not a batch of them.
 
     Overflow is not an error here: a non-finite state ends the run at
     the last finite step with the diverged flag set.
@@ -218,9 +219,8 @@ def _integrate_rk4(rhs: Callable[[np.ndarray], np.ndarray],
             # one reduction screens the step; a finite state whose sum
             # overflows still passes the exact check
             if not math.isfinite(X.sum()) and not np.isfinite(X).all():
-                return Trajectory(times=times[:k + 1].copy(),
-                                  states=out[:k + 1].copy(), diverged=True)
-    return Trajectory(times=times, states=out)
+                return times[:k + 1].copy(), out[:k + 1].copy(), True
+    return times, out, False
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -253,9 +253,8 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     for j in range(0, D, chunk):
         rows = min(chunk, D - j)
         basis = np.eye(rows, D, j).reshape(rows, N, n)
-        step = _integrate_rk4(rhs, basis, times[:2])
-        P[j:j + rows] = (np.inf if step.diverged
-                         else step.states[1].reshape(rows, D))
+        _, step, diverged = _integrate_rk4(rhs, basis, times[:2])
+        P[j:j + rows] = np.inf if diverged else step[1].reshape(rows, D)
     # e -> xbar is the node mean of the step; e -> e removes it; xbar ->
     # xbar is the step of the mean alone; xbar -> e is exactly zero
     Z[n:, :n] = P.reshape(D, N, n).mean(axis=1)
@@ -299,11 +298,13 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     return Trajectory(times=times, states=states, spread=spread)
 
 
-def _check_x0(x0, n_nodes: int, node_dim: int) -> np.ndarray:
+def _check_x0(x0, n_nodes: int, node_dim: int | None = None) -> np.ndarray:
+    """x0 as a finite (n_nodes, node_dim) array; any node_dim when None."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n_nodes, node_dim):
+    if x0.ndim != 2 or x0.shape[0] != n_nodes or node_dim not in (
+            None, x0.shape[1]):
         raise DimensionMismatch(
-            f"x0 must be ({n_nodes}, {node_dim}), got {x0.shape}"
+            f"x0 must be ({n_nodes}, {node_dim or 'node_dim'}), got {x0.shape}"
         )
     _require_finite("x0", x0)
     return x0
@@ -448,17 +449,14 @@ class NonlinearCouplingSpec:
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa != 0.0):
             raise PreconditionViolation("kappa must be finite and nonzero")
-        Phi1 = np.atleast_2d(np.asarray(self.Phi1, dtype=float))
-        Psi1 = np.atleast_2d(np.asarray(self.Psi1, dtype=float))
-        if Phi1.shape != Psi1.shape or Phi1.shape[0] != Phi1.shape[1]:
-            raise DimensionMismatch("Phi1 and Psi1 must be square and equal")
+        Phi1, Psi1 = _square_matrices("Phi1 and Psi1", self.Phi1, self.Psi1)
         object.__setattr__(self, "Phi1", Phi1)
         object.__setattr__(self, "Psi1", Psi1)
         rho = (np.ones(Phi1.shape[0]) if self.rho is None
                else np.asarray(self.rho, dtype=float).reshape(-1))
         if rho.shape[0] != Phi1.shape[0]:
             raise DimensionMismatch("rho must have one entry per state")
-        _require_finite("Phi1, Psi1 and rho", Phi1, Psi1, rho)
+        _require_finite("rho", rho)
         object.__setattr__(self, "rho", rho)
 
 
@@ -496,12 +494,10 @@ class NonlinearNetworkSystem:
     n_nodes: int
 
     def __post_init__(self):
-        G = np.atleast_2d(np.asarray(self.connection, dtype=float))
-        if G.shape != (self.n_nodes, self.n_nodes):
+        G, = _square_matrices("connection", self.connection)
+        if G.shape[0] != self.n_nodes:
             raise DimensionMismatch(
-                f"connection must be {self.n_nodes} x {self.n_nodes}"
-            )
-        _require_finite("connection", G)
+                f"connection must be {self.n_nodes} x {self.n_nodes}")
         # a row sum that overflows fails too
         with np.errstate(over="ignore"):
             row_sums = np.abs(G.sum(axis=1)).max()
@@ -576,15 +572,10 @@ def simulate_nonlinear(sys: NonlinearNetworkSystem, x0, t_end: float,
                        dt: float = 1e-3) -> Trajectory:
     """Integrate dx_i/dt = F(x_i) + sum_j G_ij M(x_j) x_j with fixed-step
     RK4.  Deterministic for fixed inputs; divergence truncates and flags."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2 or x0.shape[0] != sys.n_nodes:
-        raise DimensionMismatch(
-            f"x0 must be ({sys.n_nodes}, node_dim), got {x0.shape}"
-        )
-    _require_finite("x0", x0)
+    x0 = _check_x0(x0, sys.n_nodes)
     times = _time_grid(t_end, dt)
     rhs = _make_nonlinear_rhs(sys, x0)
-    return _integrate_rk4(rhs, x0, times)
+    return Trajectory(*_integrate_rk4(rhs, x0, times))
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +608,7 @@ def sync_error(traj: Trajectory, tol: float) -> SyncReport:
     s >= t within the horizon; a trajectory below tol everywhere gets
     sync_time = times[0].
     """
-    if traj.states.shape[0] == 0:
-        raise PreconditionViolation("trajectory is empty")
-    if not tol > 0.0:
-        raise PreconditionViolation("tol must be positive")
+    _require_positive("tol", tol)
     errors = _node_spread(traj).max(axis=1)
     sync_time = _settle_time(errors, traj.times, tol)
     return SyncReport(
@@ -638,8 +626,7 @@ def component_settle_times(traj: Trajectory, tol: float) -> tuple:
     ``max_i x_i[c] - min_i x_i[c]`` stays below tol (None if it never
     does); resolves which components of a design synchronize sooner.
     """
-    if not tol > 0.0:
-        raise PreconditionViolation("tol must be positive")
+    _require_positive("tol", tol)
     spread = _node_spread(traj)
     return tuple(
         _settle_time(spread[:, c], traj.times, tol)
@@ -650,8 +637,14 @@ def component_settle_times(traj: Trajectory, tol: float) -> tuple:
 def rms_amplitude(traj: Trajectory) -> float:
     """Root-mean-square state amplitude over the whole trajectory; the
     reference scale for relative synchronization tolerances of chaotic
-    systems."""
-    return float(np.sqrt(np.mean(traj.states ** 2)))
+    systems.  Scaled by max |x| when the squares would overflow."""
+    states = traj.states
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(states ** 2)))
+    if math.isinf(rms) and np.isfinite(states).all():  # squares overflowed
+        scale = np.abs(states).max()
+        rms = float(scale * np.sqrt(np.mean((states / scale) ** 2)))
+    return rms
 
 
 def _csv_chunk(traj: Trajectory) -> int:

@@ -166,14 +166,19 @@ def spectrum(lap: Laplacian, zero_tolerance: float | None = None) -> LaplacianSp
     ----------
     lap : Laplacian
     zero_tolerance : float, optional
-        Modulus below which an eigenvalue counts as zero.  Defaults to
-        ``1e-9 * ||L||_inf`` (with a floor of 1e-12 for the zero matrix).
+        Modulus below which an eigenvalue counts as zero; positive and
+        finite.  Defaults to ``1e-9 * ||L||_inf`` (with a floor of 1e-12
+        for the zero matrix).
 
     Raises
     ------
+    InvalidInput
+        If zero_tolerance is given and not positive and finite.
     EigensolverFailure
         If the dense eigensolver does not converge.
     """
+    if zero_tolerance is not None and not 0.0 < zero_tolerance < np.inf:
+        raise InvalidInput("zero_tolerance must be positive and finite")
     m = lap.matrix
     try:
         vals, vecs = np.linalg.eig(m)
@@ -207,9 +212,10 @@ def spectrum(lap: Laplacian, zero_tolerance: float | None = None) -> LaplacianSp
 
 def is_connected(spec: LaplacianSpectrum, tol: float) -> bool:
     """True iff exactly one eigenvalue is zero (modulus <= tol) and all
-    others have real part > tol."""
-    if tol <= 0.0:
-        raise InvalidInput("tol must be positive")
+    others have real part > tol; InvalidInput unless tol is positive and
+    finite."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidInput("tol must be positive and finite")
     vals = spec.eigenvalues
     n_zero = int(np.count_nonzero(np.abs(vals) <= tol))
     others = vals[np.abs(vals) > tol]

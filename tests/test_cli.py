@@ -6,7 +6,9 @@ CSV worker fails again in the parent), report schemas, error names on
 stderr, and byte-identical outputs for identical configurations.
 """
 
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -15,11 +17,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import assert_no_child_left, force_csv_processes
 
 import netsync
-from netsync import dynamics
+from netsync import dynamics, errors, scenarios
 from netsync.cli import main
 from netsync.scenarios import load_fixture
 
@@ -185,6 +188,13 @@ def test_reproduce_rossler_baseline_expected_verdict(tmp_path):
     assert report["converged"] is False
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON does."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
                                                        tmp_path, capsys):
     a_file = _write_json(tmp_path / "A.json", np.eye(2).tolist())
@@ -201,9 +211,27 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
                   ["--A", rotation_file, "--margin", "nan"],
                   ["--A", rotation_file, "--margin", "inf"],
                   ["--A", rotation_file, "--poles", "nan"],
-                  ["--A", rotation_file, "--poles", "inf"]):
+                  ["--A", rotation_file, "--poles", "inf"],
+                  # finite flags whose modal entries overflow
+                  ["--A", rotation_file, "--margin", "1e308"],
+                  ["--A", rotation_file, "--poles=-1e308"]):
         assert main(base + extra) == 2, extra
         assert "InvalidInput" in capsys.readouterr().err, extra
+    # on the 3-node path the entries stay finite, and the mode matrices
+    # A + sigma * lambda_k * H_eff overflow instead, or for a non-normal
+    # A its realization P M P^-1
+    path3 = _write_json(tmp_path / "path3.json",
+                        {"directed": False,
+                         "weights": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]})
+    ramp_file = _write_json(tmp_path / "A_ramp.json", [[1.0, 3.0], [0.0, 2.0]])
+    for a, flag in ((rotation_file, "--margin=1e308"),
+                    (rotation_file, "--poles=-1e308"),
+                    (ramp_file, "--margin=1e308")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["design", "--A", a, "--topology", path3,
+                         "--mode", "undirected", flag]) == 2, (a, flag)
+        assert "InvalidInput" in capsys.readouterr().err, (a, flag)
     # a finite negative margin stays the library's domain error
     assert main(base + ["--A", rotation_file, "--margin", "-1"]) == 1
     assert "PreconditionViolation" in capsys.readouterr().err
@@ -351,6 +379,25 @@ def test_reproduce_determinism_byte_identical(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
+def test_reproduce_diverged_rossler_writes_strict_json(tmp_path):
+    # at dt = 0.5 the run diverges within 4 samples and its squares
+    # overflow: the RMS must stay finite and the run must not converge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = scenarios.run_rossler(dt=0.5, t_end=5.0)
+        written = scenarios.write_artifacts(result, str(tmp_path))
+    reports = [path for path in written if path.endswith(".json")]
+    assert len(reports) == 3
+    for path in reports:
+        with open(path, encoding="utf-8") as fh:
+            _strict_json(fh.read())
+    with open(os.path.join(tmp_path, "rossler",
+                           "designed_sync_report.json")) as fh:
+        report = json.load(fh)
+    assert report["converged"] is False and report["sync_time"] is None
+    assert not result.verdict
+
+
 def test_reproduce_unwritable_out_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
@@ -466,3 +513,116 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "reproduce" in proc.stdout
+
+
+# ── generated input ──────────────────────────────────────────────────────────
+
+_FINITE = st.floats(-3.0, 3.0)
+_EXTREME = st.sampled_from([0.0, 5e-324, 1e-300, 1e308, -1e308, float("nan"),
+                            float("inf"), float("-inf")])
+_MALFORMED = st.one_of(
+    st.lists(_FINITE, max_size=3),                      # 1-D, also empty
+    st.lists(st.lists(_FINITE, min_size=1, max_size=3), min_size=1,
+             max_size=3),                               # ragged or misfit
+    st.sampled_from([[[]], [[[1.0]]], [["x"]], "A", {"a": 1}, None, True]))
+_TOPOLOGIES = st.sampled_from([
+    {"directed": False, "weights": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]},
+    {"directed": False, "weights": [[0, 2], [2, 0]]},
+    {"directed": True, "weights": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]},
+    {"directed": True, "weights": [[0, 1], [1, 0]]},
+])
+_EXTREME_FLAGS = st.sampled_from(["0", "-1", "90.0000001", "180", "1e-320",
+                                   "1e308", "-1e308", "nan", "inf", "-inf"])
+# half the draws are in range for the flag (an argument in degrees for
+# --argument, a pole for --poles)
+_FLAGS = {flag: st.one_of(st.sampled_from(values), _EXTREME_FLAGS)
+          for flag, values in (("--margin", ["0.5", "1", "2"]),
+                               ("--sigma", ["0.5", "1", "2"]),
+                               ("--c", ["0.5", "1", "2"]),
+                               ("--argument", ["120", "150", "170"]),
+                               ("--poles", ["-0.5", "-1", "-2"]))}
+
+
+def _matrices(rows: int, cols: int):
+    """A rows x cols matrix of small finite entries (half the draws), of
+    entries that may be extreme or non-finite, or a malformed payload."""
+    def grid(entries):
+        return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+    return st.one_of(grid(_FINITE), grid(_FINITE),
+                     grid(st.one_of(_FINITE, _EXTREME)), _MALFORMED)
+
+
+@st.composite
+def _argvs(draw):
+    """A spectrum, design or dualize command line over generated files,
+    as ``(argv, files)`` with files a map of file name to JSON payload."""
+    command = draw(st.sampled_from(["spectrum", "design", "dualize"]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, n))
+    files = {}
+
+    def file_flag(flag, strategy):
+        name = flag.strip("-") + ".json"
+        files[name] = draw(strategy)
+        return [flag, name]
+
+    def value_flags(*flags):
+        return [f"{flag}={draw(_FLAGS[flag])}" for flag in flags
+                if draw(st.booleans())]
+
+    topology = st.one_of(
+        _TOPOLOGIES, _TOPOLOGIES, _TOPOLOGIES,
+        st.builds(lambda directed, weights: {"directed": directed,
+                                             "weights": weights},
+                  st.booleans(), _matrices(n + 1, n + 1)))
+    if command == "spectrum":
+        return [command] + file_flag("--topology", topology), files
+    if command == "design":
+        argv = [command] + file_flag("--topology", topology)
+        directed = files["topology.json"]["directed"]
+        argv += ["--mode", "directed" if directed else "undirected"]
+        argv += file_flag("--A", _matrices(n, n))
+        argv += value_flags("--margin", "--sigma")
+        if directed:
+            argv.append(f"--argument={draw(_FLAGS['--argument'])}")
+        if draw(st.booleans()):
+            poles = draw(st.lists(_FLAGS["--poles"], min_size=1, max_size=n))
+            argv.append("--poles=" + ",".join(poles))
+        return argv, files
+    direction = draw(st.sampled_from(["gain-to-h", "h-to-gain"]))
+    argv = [command, "--direction", direction]
+    argv += file_flag("--B", _matrices(n, m))
+    argv += (file_flag("--K", _matrices(m, n)) if direction == "gain-to-h"
+             else file_flag("--H", _matrices(n, n)))
+    if draw(st.booleans()):
+        argv += file_flag("--A", _matrices(n, n))
+    return argv + value_flags("--c"), files
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argvs())
+def test_generated_command_lines_end_in_exit_code_and_strict_json(tmp_path,
+                                                                  case):
+    # every outcome is 0, 1 or 2; a failure names a NetsyncError subclass
+    # on stderr, and stdout is strict JSON (no NaN, no Infinity).  A design
+    # that fails its Hurwitz verdict exits 1 with its report and no error.
+    argv, files = case
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:           # argparse rejected the line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    report = _strict_json(out.getvalue()) if out.getvalue() else None
+    if code == 0:
+        assert report is not None, argv
+    elif report is not None:
+        assert code == 1 and report["hurwitz"] is False, argv
+    else:
+        assert err.getvalue().split(":")[0] in errors.__all__, (argv, err)

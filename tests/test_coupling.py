@@ -4,7 +4,7 @@ Covers:
   - decompose: fixture dynamics (including the defective ramp pair, via
     the Schur block fallback), plain diagonal matrices, reconstruction
     invariants, eigenvalue clusters linked through chains, and the
-    ill-conditioned failure mode
+    ill-conditioned failure mode, also when the block form overflows
   - design_undirected: pole placement arithmetic, margin designs, the
     already-stable clamp, and precondition errors
   - design_directed: the two fixture designs, conjugate closure, the
@@ -120,6 +120,13 @@ def test_decompose_ill_conditioned_clusters_raise():
     A = np.array([[1.0, 1e6], [0.0, 1.0 + 2e-8]])
     with pytest.raises(DefectiveMatrix):
         decompose(A)
+    # eigenvalues near +-1e154 i, whose block similarity overflows
+    A = np.array([[-0.23, 0.0, -0.7], [2e-16, 0.0, -1e308],
+                  [1e308, -5e-277, 0.42]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefectiveMatrix):
+            decompose(A)
 
 
 # ── design_undirected ────────────────────────────────────────────────────────

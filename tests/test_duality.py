@@ -1,7 +1,8 @@
 """Gain <-> coupling conversions and rank gates.
 
 Covers:
-  - h_from_gain against the consensus fixture matrices
+  - h_from_gain against the consensus fixture matrices, and the shape
+    gates of h_from_gain and recovery_residual
   - pseudoinverse: worked values, left-inverse property, the four
     Moore-Penrose conditions, rank rejection (also of a B^T B singular
     in floating point)
@@ -59,6 +60,12 @@ def test_h_from_gain_dimension_gate():
         h_from_gain(np.array([[1.0], [-1.0]]), np.zeros((2, 2)))
 
 
+def test_recovery_residual_dimension_gate():
+    # numpy would broadcast a K that does not fit B into a residual
+    with pytest.raises(DimensionMismatch):
+        recovery_residual(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 2)))
+
+
 # ── pseudo_inverse ───────────────────────────────────────────────────────────
 
 
@@ -110,7 +117,10 @@ def test_pseudo_inverse_rank_gate():
     lambda: pseudo_inverse(np.array([[1e200], [1e200]])),
     lambda: gain_from_h(np.diag([1e-150, 1e-150]), np.diag([1e300, 1e300])),
     lambda: controllability(np.full((2, 2), 1e308), np.ones((2, 2))),
-], ids=["h_from_gain", "pseudo_inverse", "gain_from_h", "controllability"])
+    lambda: recovery_residual(np.array([[3e97, 3e97], [0.0, 3e97]]),
+                              np.full((2, 2), 1e308), np.full((2, 2), 3e211)),
+], ids=["h_from_gain", "pseudo_inverse", "gain_from_h", "controllability",
+        "recovery_residual"])
 def test_overflowing_product_is_invalid_input_without_warning(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

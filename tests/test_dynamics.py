@@ -19,7 +19,8 @@ Covers:
     (designed, selector, random zero-row-sum and per-node couplings),
     and a finite state whose sum overflows running to the end
   - time-grid validation, NaN in the positive-scalar checks, non-finite
-    inputs rejected at construction with no warning, and the per-node
+    inputs rejected with no warning (also by the design and duality
+    functions), malformed and empty trajectories, and the per-node
     fallback for callables that broadcast wrong
   - the CSV writer byte for byte against the reference on generated
     64-bit patterns, and its memory bounded by one chunk, each also with
@@ -63,10 +64,14 @@ from netsync import (
     build_laplacian,
     build_three_oscillator,
     component_settle_times,
+    controllability,
     decompose,
     design_directed,
     design_nonlinear_coupling,
     design_undirected,
+    gain_from_h,
+    pseudo_inverse,
+    recovery_residual,
     rms_amplitude,
     rossler_jacobian_parts,
     rossler_vector_field,
@@ -584,9 +589,10 @@ NAN = float("nan")
     lambda: design_undirected(decompose(np.eye(2)), 1.0, poles=[NAN, NAN]),
     lambda: design_directed(decompose(np.eye(2)), complex(NAN, 0.0), 0.0,
                             3.0),
+    lambda: design_undirected(decompose(np.eye(2)), 1.0, sigma=0.0),
 ], ids=["sync_error", "component_settle_times", "LinearNetworkSystem",
         "ModalCouplingSpec", "verify", "AgentModel", "lambda2", "margin",
-        "poles", "directed_lambda2"])
+        "poles", "directed_lambda2", "design-sigma-zero"])
 def test_scalar_checks_reject_nan(call):
     with pytest.raises(PreconditionViolation):
         call()
@@ -607,6 +613,10 @@ def _with_nan(shape, index=0):
     a = np.zeros(shape)
     a.flat[index] = NAN
     return a
+
+
+def _empty_trajectory():
+    return Trajectory(times=np.zeros(0), states=np.zeros((0, 2, 1)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -649,11 +659,37 @@ def _with_nan(shape, index=0):
                         c=np.inf), PreconditionViolation),
     (lambda: ModalCouplingSpec(entries=[-1.0], sigma=np.inf),
      PreconditionViolation),
+    (lambda: ModalCouplingSpec(entries=[NAN]), InvalidInput),
+    (lambda: ModalCouplingSpec(entries=[-np.inf]), InvalidInput),
+    (lambda: ModalCouplingSpec(entries=[-1.0, -1.0],
+                               off_diagonal=_with_nan((2, 2), 1)),
+     InvalidInput),
+    (lambda: design_undirected(decompose(np.eye(2)), 1.0, margin=np.inf),
+     InvalidInput),
+    (lambda: decompose([[NAN]]), InvalidInput),
+    (lambda: verify([[NAN]], [[-1.0]], 1.0, spectrum(PAIR_LAPLACIAN)),
+     InvalidInput),
+    (lambda: pseudo_inverse([[NAN]]), InvalidInput),
+    (lambda: gain_from_h([[NAN], [1.0]], np.eye(2)), InvalidInput),
+    (lambda: recovery_residual([[1.0]], [[1.0]], [[NAN]]), InvalidInput),
+    (lambda: controllability([[NAN]], [[1.0]]), InvalidInput),
+    (lambda: sync_error(_scalar_consensus(), np.inf), PreconditionViolation),
+    (lambda: Trajectory(times=np.arange(2.0), states=np.zeros((2, 3))),
+     DimensionMismatch),
+    (lambda: sync_error(_empty_trajectory(), 1e-3), PreconditionViolation),
+    (lambda: component_settle_times(_empty_trajectory(), 1e-3),
+     PreconditionViolation),
+    (lambda: rms_amplitude(_empty_trajectory()), PreconditionViolation),
 ], ids=["A-nan", "H_eff-inf", "sigma-inf", "kappa-nan", "kappa-inf",
         "kappa-neg-inf", "Psi1-nan", "connection-nan",
         "connection-row-sum-overflows", "linear-x0-nan", "agents-x0-inf",
         "nonlinear-x0-nan", "agent-A-nan", "agent-B-inf", "agent-K-nan",
-        "agent-c-inf", "modal-sigma-inf"])
+        "agent-c-inf", "modal-sigma-inf", "modal-entry-nan",
+        "modal-entry-neg-inf", "modal-off-diagonal-nan", "design-margin-inf",
+        "decompose-A-nan", "verify-A-nan", "pseudo_inverse-nan",
+        "gain_from_h-B-nan", "recovery_residual-K-nan",
+        "controllability-A-nan", "sync_error-tol-inf", "trajectory-2d",
+        "sync_error-empty", "settle-times-empty", "rms-empty"])
 def test_non_finite_inputs_rejected_without_warning(call, error):
     with pytest.raises(error):
         call()
@@ -1004,3 +1040,8 @@ def test_rms_amplitude_constant_trajectory():
                               sigma=1.0, laplacian=PAIR_LAPLACIAN)
     traj = simulate_linear(sys, np.array([[2.0], [2.0]]), 1.0, 1e-2)
     assert abs(rms_amplitude(traj) - 2.0) < 1e-12
+    # squares that overflow, and an infinite state, with no warning
+    for value in (1e300, np.inf):
+        traj = Trajectory(times=np.arange(3.0),
+                          states=np.full((3, 2, 1), value))
+        assert rms_amplitude(traj) == value

@@ -4,7 +4,9 @@ Covers:
   - L = D - A construction against hand-built and fixture matrices
   - spectrum regression: the path graph's closed-form eigenvalues
     2 - 2cos(k*pi/5), and the directed fixture's complex pair/theta_max
-  - connectivity detection (one zero eigenvalue, rest right of it)
+  - connectivity detection (one zero eigenvalue, rest right of it), and
+    its tolerance and the spectrum's zero tolerance rejected unless
+    positive and finite
   - structural invariants over random topologies: zero row sums, real
     nonnegative undirected spectra, eigenvector reconstruction, trace
   - topology JSON round-trip and invariant rejection, including
@@ -135,9 +137,15 @@ def test_six_node_fixture_is_connected():
 
 
 def test_is_connected_rejects_bad_tol():
-    spec = spectrum(build_laplacian(path_topology(3)))
-    with pytest.raises(InvalidInput):
-        is_connected(spec, 0.0)
+    lap = build_laplacian(path_topology(3))
+    spec = spectrum(lap)
+    for call in (lambda: is_connected(spec, 0.0),
+                 lambda: is_connected(spec, float("nan")),
+                 lambda: is_connected(spec, np.inf),
+                 lambda: spectrum(lap, zero_tolerance=-1.0),
+                 lambda: spectrum(lap, zero_tolerance=float("nan"))):
+        with pytest.raises(InvalidInput):
+            call()
 
 
 # ── invariants over random topologies ────────────────────────────────────────
