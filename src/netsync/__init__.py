@@ -7,75 +7,11 @@ verify them by spectral checks and time-domain simulation, including a
 chaotic three-oscillator probe with state-dependent coupling.
 """
 
-from .errors import (
-    ArgumentMarginViolation,
-    DefectiveMatrix,
-    DimensionMismatch,
-    EigensolverFailure,
-    InvalidInput,
-    NetsyncError,
-    PreconditionViolation,
-    RankDeficient,
-    RealizationResidue,
-    ZeroGain,
-)
-from .graph import (
-    Laplacian,
-    LaplacianSpectrum,
-    Topology,
-    build_laplacian,
-    is_connected,
-    load_topology,
-    save_topology,
-    spectrum,
-)
-from .gershgorin import (
-    DiscSet,
-    HalfPlane,
-    discs,
-    half_plane,
-    real_projection,
-    rotation_admissible,
-)
-from .coupling import (
-    CouplingMatrices,
-    ModalCouplingSpec,
-    ModalDecomposition,
-    ModeAnalysis,
-    ModeRecord,
-    decompose,
-    design_directed,
-    design_report,
-    design_undirected,
-    realize,
-    verify,
-)
-from .duality import (
-    AgentModel,
-    controllability,
-    gain_from_h,
-    h_from_gain,
-    pseudo_inverse,
-    recovery_residual,
-)
-from .dynamics import (
-    LinearNetworkSystem,
-    NonlinearCouplingSpec,
-    NonlinearNetworkSystem,
-    SyncReport,
-    Trajectory,
-    build_three_oscillator,
-    component_settle_times,
-    design_nonlinear_coupling,
-    rms_amplitude,
-    rossler_jacobian_parts,
-    rossler_vector_field,
-    simulate_agents,
-    simulate_linear,
-    simulate_nonlinear,
-    sync_error,
-    sync_report_dict,
-    write_trajectory_csv,
-)
+from .errors import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .gershgorin import *  # noqa: F401,F403
+from .coupling import *  # noqa: F401,F403
+from .duality import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

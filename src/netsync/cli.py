@@ -7,8 +7,11 @@ reference scenario and write its artifacts).
 
 Exit codes: 0 on success (or a reproduce scenario meeting its contracted
 verdict), 1 on a domain failure (defective dynamics, margin violations,
-rank gates, unmet verdicts; the error name goes to stderr), 2 on
-usage, file, or validation errors.
+rank gates) or an unmet verdict, 2 on usage, file, or validation errors.
+Only a raised NetsyncError writes its name to stderr.  An unmet verdict,
+a design that is not Hurwitz or a scenario that misses its contracted
+outcome, writes its report or ``verdict-failed`` status line to stdout
+and nothing to stderr.
 """
 
 from __future__ import annotations
@@ -182,24 +185,17 @@ def _cmd_dualize(args) -> int:
                 f"K must be {B.shape[1]} x {B.shape[0]} to fit B "
                 f"{B.shape[0]} x {B.shape[1]}, got {K.shape[0]} x {K.shape[1]}")
         H_paper = h_from_gain(B, K)
-        payload.update({
-            "K": K.tolist(),
-            "H_paper": H_paper.tolist(),
-            "H_eff": (-H_paper).tolist(),
-            "residual": 0.0,
-        })
+        residual = 0.0
     else:
         if args.H is None:
             raise InvalidInput("h-to-gain requires --H (the H_paper matrix)")
         H_paper = _load_matrix(args.H)
         K = gain_from_h(B, H_paper)
-        payload.update({
-            "K": K.tolist(),
-            "H_paper": H_paper.tolist(),
-            "H_eff": (-H_paper).tolist(),
-            "residual": recovery_residual(B, H_paper, K),
-            "pseudo_inverse": pseudo_inverse(B).tolist(),
-        })
+        residual = recovery_residual(B, H_paper, K)
+    payload.update({"K": K.tolist(), "H_paper": H_paper.tolist(),
+                    "H_eff": (-H_paper).tolist(), "residual": residual})
+    if args.direction == "h-to-gain":
+        payload["pseudo_inverse"] = pseudo_inverse(B).tolist()
     if args.A is not None:
         A = _load_matrix(args.A)
         rank = controllability(A, B)

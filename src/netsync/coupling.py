@@ -296,17 +296,16 @@ class CouplingMatrices:
     H_paper = -H_eff is the same coupling in connection-matrix form."""
 
     H_eff: np.ndarray
-    H_paper: np.ndarray
 
     def __post_init__(self):
         he = np.asarray(self.H_eff, dtype=float)
-        hp = np.asarray(self.H_paper, dtype=float)
-        if not (np.isfinite(he).all() and np.isfinite(hp).all()):
+        if not np.isfinite(he).all():
             raise PreconditionViolation("coupling matrices must be finite")
-        if np.any(he + hp != 0.0):
-            raise PreconditionViolation("H_paper must equal -H_eff exactly")
         object.__setattr__(self, "H_eff", _freeze(he))
-        object.__setattr__(self, "H_paper", _freeze(hp))
+
+    @property
+    def H_paper(self) -> np.ndarray:
+        return _freeze(-self.H_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +379,9 @@ def _real_levels(decomp: ModalDecomposition, lambda2_real: float,
                 "a requested pole lies right of the dominant mode; "
                 "it cannot be reached with stabilizing coupling"
             )
-    elif not margin >= 0.0:
-        raise PreconditionViolation("margin must be nonnegative")
+    elif not 0.0 <= margin < np.inf:  # NaN fails too
+        raise PreconditionViolation("margin must be nonnegative and finite")
     else:
-        _require_finite("margin", margin)
         levels = np.full(n, -max(max_re + margin, 0.0) / (sigma * lambda2_real))
     pairs = _conjugate_pairs(decomp.mode_eigenvalues)
     if any(levels[i] != levels[j] for i, j in pairs):
@@ -507,7 +505,7 @@ def realize(spec: ModalCouplingSpec, decomp: ModalDecomposition) -> CouplingMatr
             f"imaginary residue {residue:.3e} exceeds 1e-8 * ||H_eff||; "
             "modal entries are not conjugate-closed"
         )
-    return CouplingMatrices(H_eff=H_eff, H_paper=-H_eff)
+    return CouplingMatrices(H_eff=H_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +608,12 @@ def design_report(spec: ModalCouplingSpec | None,
     }
 
 
-def stiffest_mode_modulus(A, H_eff, sigma: float,
-                          lap_spectrum: LaplacianSpectrum) -> float:
-    """Largest eigenvalue modulus over all mode matrices (k = 1..N).
+def stiffest_mode_modulus(A, H_eff, sigma: float, lambdas) -> float:
+    """Largest eigenvalue modulus over the mode matrices
+    ``A + sigma * lambda * H_eff``, one per Laplacian eigenvalue lambda.
 
     Integrator step-size guard: explicit fixed-step schemes need
     ``modulus * dt`` comfortably inside their stability region.
     """
-    vals = _mode_spectra(A, H_eff, sigma, lap_spectrum.eigenvalues)
+    vals = _mode_spectra(A, H_eff, sigma, lambdas)
     return float(np.abs(vals).max(initial=0.0))

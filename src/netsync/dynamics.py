@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import _mode_spectra
+from .coupling import stiffest_mode_modulus
 from .duality import AgentModel
 from .errors import (
     DimensionMismatch,
@@ -54,9 +54,7 @@ from .errors import (
 )
 from .graph import Laplacian
 
-# The simulators call neither name; perfbench's tracer wraps both in this
-# module and refuses to run when one is missing.
-from .coupling import stiffest_mode_modulus  # noqa: F401
+# Not called here; perfbench's tracer wraps it in this module.
 from .graph import spectrum  # noqa: F401
 
 __all__ = [
@@ -318,8 +316,7 @@ def _warn_if_stiff(A, H_eff, sigma: float, laplacian: Laplacian,
         lambdas = np.linalg.eigvals(laplacian.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigendecomposition failed: {exc}") from exc
-    vals = _mode_spectra(A, H_eff, sigma, lambdas)
-    worst = float(np.abs(vals).max(initial=0.0))
+    worst = stiffest_mode_modulus(A, H_eff, sigma, lambdas)
     if worst * dt >= _STABILITY_LIMIT:
         warnings.warn(
             f"stiffest mode modulus {worst:.3g} * dt {dt:.3g} = "
@@ -491,19 +488,19 @@ class NonlinearNetworkSystem:
     node_dynamics: Callable[[np.ndarray], np.ndarray]
     coupling_matrix_fn: Callable[[np.ndarray], np.ndarray]
     connection: np.ndarray
-    n_nodes: int
 
     def __post_init__(self):
         G, = _square_matrices("connection", self.connection)
-        if G.shape[0] != self.n_nodes:
-            raise DimensionMismatch(
-                f"connection must be {self.n_nodes} x {self.n_nodes}")
         # a row sum that overflows fails too
         with np.errstate(over="ignore"):
             row_sums = np.abs(G.sum(axis=1)).max()
         if not row_sums <= 1e-9 * max(1.0, np.abs(G).max()):
             raise PreconditionViolation("connection rows must sum to zero")
         object.__setattr__(self, "connection", G)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.connection.shape[0]
 
 
 def build_three_oscillator(eps: float, delta: float, coupling_matrix_fn,
@@ -529,7 +526,6 @@ def build_three_oscillator(eps: float, delta: float, coupling_matrix_fn,
         node_dynamics=lambda s: rossler_vector_field(s, a=a, b=b, c=c),
         coupling_matrix_fn=coupling_matrix_fn,
         connection=G,
-        n_nodes=3,
     )
 
 

@@ -18,12 +18,13 @@ Both are exposed as cheap predicates/transforms on immutable values.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolation
+from .errors import InvalidInput, PreconditionViolation, _require_finite
 
 __all__ = [
     "DiscSet",
@@ -52,29 +53,32 @@ class DiscSet:
 
     centers: np.ndarray
     radii: np.ndarray
-    center_arguments: np.ndarray
-    center_moduli: np.ndarray
 
-    def __post_init__(self):
-        n = self.centers.shape[0]
-        for name in ("radii", "center_arguments", "center_moduli"):
-            if getattr(self, name).shape[0] != n:
-                raise PreconditionViolation(f"{name} length != matrix dimension")
+    @property
+    def center_arguments(self) -> np.ndarray:
+        return np.arctan2(self.centers.imag, self.centers.real)
+
+    @property
+    def center_moduli(self) -> np.ndarray:
+        return np.abs(self.centers)
 
 
 def discs(Z) -> DiscSet:
-    """Geršgorin discs of a complex square matrix."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    if Z.shape[0] != Z.shape[1]:
+    """Geršgorin discs of a complex square matrix.
+
+    Raises PreconditionViolation unless Z is one square matrix, and
+    InvalidInput unless its entries are numbers and finite.
+    """
+    try:
+        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    except (TypeError, ValueError) as exc:  # ragged or not numeric
+        raise InvalidInput(f"Z is not a numeric matrix: {exc}") from exc
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise PreconditionViolation(f"matrix must be square, got {Z.shape}")
+    _require_finite("Z", Z)
     centers = np.diag(Z).copy()
-    radii = np.abs(Z).sum(axis=1) - np.abs(centers)
-    return DiscSet(
-        centers=centers,
-        radii=radii,
-        center_arguments=np.arctan2(centers.imag, centers.real),
-        center_moduli=np.abs(centers),
-    )
+    return DiscSet(centers=centers,
+                   radii=np.abs(Z).sum(axis=1) - np.abs(centers))
 
 
 def half_plane(d: DiscSet) -> HalfPlane:
@@ -89,8 +93,9 @@ def half_plane(d: DiscSet) -> HalfPlane:
 def rotation_admissible(Z, rho: complex) -> bool:
     """Certify that every eigenvalue of ``rho * Z`` has negative real part.
 
-    Requires rho in the open right half-plane and all discs of Z strictly
-    in the left half-plane (:class:`PreconditionViolation` otherwise).
+    Requires a finite rho in the open right half-plane and all discs of Z
+    strictly in the left half-plane (:class:`PreconditionViolation`
+    otherwise).
     With theta = arg(rho) and, per row, center modulus r_ii, center
     argument magnitude |phi_ii| in (pi/2, pi], and radius R_i, the
     certificate is
@@ -103,8 +108,9 @@ def rotation_admissible(Z, rho: complex) -> bool:
     case.  A False return is inconclusive, not a disproof.
     """
     rho = complex(rho)
-    if rho.real <= 0.0:
-        raise PreconditionViolation("rho must lie in the open right half-plane")
+    if not (rho.real > 0.0 and cmath.isfinite(rho)):
+        raise PreconditionViolation(
+            "rho must be finite and lie in the open right half-plane")
     d = discs(Z)
     if half_plane(d) is not HalfPlane.LEFT:
         raise PreconditionViolation("all discs of Z must lie strictly left")

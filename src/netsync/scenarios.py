@@ -147,9 +147,8 @@ def _fixture_residuals(fx: dict, realized: dict) -> dict:
 def _consensus_design(B, K, c: float, H_paper, analysis,
                       residual: float) -> dict:
     """Design report of the gain-derived coupling H_paper = -B K."""
-    report = design_report(
-        None, CouplingMatrices(H_eff=-H_paper, H_paper=H_paper), analysis,
-        sigma=c)
+    report = design_report(None, CouplingMatrices(H_eff=-H_paper), analysis,
+                           sigma=c)
     report.update({"K": K.tolist(), "B": B.tolist(), "c": c,
                    "residual": residual})
     return report
@@ -381,8 +380,8 @@ def run_rossler(baseline: bool = False, eps: float | None = None,
     tol = fx["band_tolerance_rms_fraction"] * rms
     report = sync_error(traj, tol)
     band_mask = traj.times >= fx["band_start"]
-    band_ok = (not traj.diverged and band_mask.any()
-               and float(report.error_series[band_mask].max()) < tol)
+    band_ok = bool(not traj.diverged and band_mask.any()
+                   and float(report.error_series[band_mask].max()) < tol)
 
     variant = "baseline" if baseline else "designed"
     synchronized = report.converged and not traj.diverged
@@ -395,7 +394,7 @@ def run_rossler(baseline: bool = False, eps: float | None = None,
         "tolerance": tol,
         "synchronized": synchronized,
         "band_start": fx["band_start"],
-        "band_ok": bool(band_ok),
+        "band_ok": band_ok,
         "diverged": traj.diverged,
         "variants": {variant: _variant_summary(report, traj)},
     }

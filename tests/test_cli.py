@@ -3,7 +3,9 @@
 Covers the exit-code contract (0 success / expected verdict, 1 domain
 failure, 2 usage or I/O failure, also when the range of a failed forked
 CSV worker fails again in the parent), report schemas, error names on
-stderr, and byte-identical outputs for identical configurations.
+stderr, and byte-identical outputs for identical configurations; a
+derandomized property over generated spectrum, design, dualize and
+reproduce command lines.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import errno
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -543,6 +546,25 @@ _FLAGS = {flag: st.one_of(st.sampled_from(values), _EXTREME_FLAGS)
                                ("--poles", ["-0.5", "-1", "-2"]))}
 
 
+_SEEDS = st.one_of(st.integers(0, 99), st.integers(min_value=2 ** 63),
+                   st.integers(max_value=-1))
+# --t-end and --dt: a valid grid of at most 100 samples (half the draws),
+# or values rejected before any array is allocated; never a horizon of
+# many samples
+_GRIDS = st.builds(lambda dt, k: [f"--t-end={k * dt!r}", f"--dt={dt!r}"],
+                   st.sampled_from([1e-3, 0.02, 0.5]), st.integers(1, 99))
+_BAD_TIMES = st.sampled_from(["0", "-1", "-1e-3", "nan", "inf", "-inf"])
+_HORIZONS = st.one_of(_GRIDS, st.one_of(
+    st.builds(lambda t: [f"--t-end={t}"], _BAD_TIMES),
+    st.builds(lambda dt: [f"--dt={dt}"], _BAD_TIMES),
+    st.builds(lambda t, dt: [f"--t-end={t}", f"--dt={dt}"], _BAD_TIMES,
+              _BAD_TIMES),
+    st.sampled_from([["--t-end=0.01", "--dt=0.02"],          # dt > t_end
+                     ["--t-end=1e300", "--dt=1"],            # t_end / dt
+                     ["--t-end=1", "--dt=1e-300"],           # >= 1e300
+                     ["--t-end=1e308", "--dt=1e-308"]])))
+
+
 def _matrices(rows: int, cols: int):
     """A rows x cols matrix of small finite entries (half the draws), of
     entries that may be extreme or non-finite, or a malformed payload."""
@@ -555,9 +577,18 @@ def _matrices(rows: int, cols: int):
 
 @st.composite
 def _argvs(draw):
-    """A spectrum, design or dualize command line over generated files,
-    as ``(argv, files)`` with files a map of file name to JSON payload."""
-    command = draw(st.sampled_from(["spectrum", "design", "dualize"]))
+    """A spectrum, design, dualize or reproduce command line over
+    generated files, as ``(argv, files)`` with files a map of file name to
+    JSON payload; a reproduce line has no --out yet."""
+    command = draw(st.sampled_from(["reproduce", "spectrum", "design",
+                                    "dualize"]))
+    if command == "reproduce":
+        argv = [command, draw(st.sampled_from(scenarios.SCENARIO_NAMES
+                                              + ("all",))),
+                f"--seed={draw(_SEEDS)}"]
+        if draw(st.integers(0, 3)) == 0:
+            argv.append("--baseline")
+        return argv + draw(_HORIZONS), {}
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, n))
     files = {}
@@ -600,18 +631,24 @@ def _argvs(draw):
     return argv + value_flags("--c"), files
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_argvs())
 def test_generated_command_lines_end_in_exit_code_and_strict_json(tmp_path,
                                                                   case):
     # every outcome is 0, 1 or 2; a failure names a NetsyncError subclass
-    # on stderr, and stdout is strict JSON (no NaN, no Infinity).  A design
-    # that fails its Hurwitz verdict exits 1 with its report and no error.
+    # on stderr, and stdout and every JSON artifact are strict JSON (no
+    # NaN, no Infinity).  An unmet verdict exits 1 with nothing on stderr:
+    # a design that fails its Hurwitz verdict with its report, a reproduce
+    # run with a verdict-failed status line.
     argv, files = case
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
     argv = [str(tmp_path / a) if a in files else a for a in argv]
+    runs = tmp_path / "runs"
+    shutil.rmtree(runs, ignore_errors=True)
+    if argv[0] == "reproduce":
+        argv += ["--out", str(runs)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -619,10 +656,17 @@ def test_generated_command_lines_end_in_exit_code_and_strict_json(tmp_path,
         except SystemExit as exc:           # argparse rejected the line
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
+    named = err.getvalue().split(":")[0] in errors.__all__
+    if argv[0] == "reproduce":
+        for path in runs.rglob("*.json"):
+            _strict_json(path.read_text())
+        unmet = code == 1 and "verdict-failed" in out.getvalue()
+        assert code == 0 or unmet or named, (argv, out.getvalue(), err)
+        return
     report = _strict_json(out.getvalue()) if out.getvalue() else None
     if code == 0:
         assert report is not None, argv
     elif report is not None:
         assert code == 1 and report["hurwitz"] is False, argv
     else:
-        assert err.getvalue().split(":")[0] in errors.__all__, (argv, err)
+        assert named, (argv, err)

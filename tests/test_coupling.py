@@ -15,7 +15,7 @@ Covers:
     2x2 trace/determinant oracle on the consensus fixture, sigma outside
     (0, inf) rejected
   - properties: realization round-trip, design soundness over random
-    instances, exact pole placement, H_paper = -H_eff
+    instances, exact pole placement, H_paper = -H_eff and read-only
 """
 
 import warnings
@@ -394,6 +394,10 @@ def test_h_paper_is_exact_negation():
     d = decompose(A)
     mats = realize(design_undirected(d, 0.9), d)
     assert np.array_equal(mats.H_paper, -mats.H_eff)
+    # derived from H_eff, and read-only like it
+    assert not mats.H_paper.flags.writeable
+    with pytest.raises(AttributeError):
+        mats.H_paper = mats.H_eff
 
 
 def test_design_report_schema(fx1):

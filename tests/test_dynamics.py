@@ -10,7 +10,8 @@ Covers:
     formula cases
   - sync_error / component settle times / divergence flagging
   - trajectory CSV round-trip and its bytes against a csv.writer
-    reference, stiffness warning, step-halving sanity,
+    reference, stiffness warning (each simulator's guard calling
+    ``stiffest_mode_modulus`` once), step-halving sanity,
     tail log-slope matching the slowest transverse mode
   - the linear propagator against a per-step RK4 loop, its recorded
     spread, truncation inside a block and inside a group of blocks, and
@@ -86,6 +87,7 @@ from netsync import (
     write_trajectory_csv,
 )
 from netsync import dynamics
+from netsync.coupling import stiffest_mode_modulus
 from netsync.dynamics import _CSV_CHUNK_ELEMENTS
 from netsync.scenarios import (
     _atomic_write,
@@ -142,6 +144,22 @@ def test_stiffness_warning():
     with pytest.warns(UserWarning, match="stiffest"):
         simulate_agents(model, PAIR_LAPLACIAN, np.array([[1.0], [0.0]]),
                         10.0, 2.0)
+
+
+def test_stiffness_guard_calls_stiffest_mode_modulus(monkeypatch):
+    # both simulators' guard goes through the module-level name, once per
+    # run, and still warns
+    calls = []
+
+    def spy(A, H_eff, sigma, lambdas):
+        calls.append(np.sort_complex(lambdas))
+        return stiffest_mode_modulus(A, H_eff, sigma, lambdas)
+
+    monkeypatch.setattr(dynamics, "stiffest_mode_modulus", spy)
+    test_stiffness_warning()
+    assert len(calls) == 2
+    for lambdas in calls:
+        assert np.allclose(lambdas, [0.0, 2.0])
 
 
 def test_divergence_is_flagged_not_raised():
@@ -472,10 +490,10 @@ def _nonlinear_systems(fx):
         "selector": build_three_oscillator(eps, delta, selector_coupling),
         "random-G": NonlinearNetworkSystem(
             node_dynamics=rossler_vector_field, coupling_matrix_fn=designed,
-            connection=G, n_nodes=5),
+            connection=G),
         "per-node": NonlinearNetworkSystem(
             node_dynamics=_scalar_rossler, coupling_matrix_fn=scalar_selector,
-            connection=probe.connection, n_nodes=3),
+            connection=probe.connection),
     }
 
 
@@ -502,7 +520,7 @@ def test_finite_state_with_overflowing_sum_is_not_diverged():
     still = NonlinearNetworkSystem(
         node_dynamics=lambda s: np.zeros(np.shape(s)),
         coupling_matrix_fn=lambda s: np.zeros(np.shape(s) + (2,)),
-        connection=np.zeros((2, 2)), n_nodes=2)
+        connection=np.zeros((2, 2)))
     x0 = np.array([[1e308, 1e308], [0.0, -1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -527,7 +545,7 @@ def test_misbroadcasting_dynamics_falls_back_to_loop():
 
     x0 = np.random.default_rng(22).uniform(-1.0, 1.0, (3, 3))
     trajs = [simulate_nonlinear(NonlinearNetworkSystem(
-        node_dynamics=f, coupling_matrix_fn=coupling, n_nodes=3,
+        node_dynamics=f, coupling_matrix_fn=coupling,
         connection=build_three_oscillator(0.1, 0.0, coupling).connection),
         x0, 1.0, 1e-3) for f in (pooled, per_node)]
     assert np.allclose(trajs[0].states, trajs[1].states, rtol=0.0, atol=1e-12)
@@ -590,9 +608,11 @@ NAN = float("nan")
     lambda: design_directed(decompose(np.eye(2)), complex(NAN, 0.0), 0.0,
                             3.0),
     lambda: design_undirected(decompose(np.eye(2)), 1.0, sigma=0.0),
+    lambda: design_undirected(decompose(np.eye(2)), 1.0, margin=np.inf),
 ], ids=["sync_error", "component_settle_times", "LinearNetworkSystem",
         "ModalCouplingSpec", "verify", "AgentModel", "lambda2", "margin",
-        "poles", "directed_lambda2", "design-sigma-zero"])
+        "poles", "directed_lambda2", "design-sigma-zero",
+        "design-margin-inf"])
 def test_scalar_checks_reject_nan(call):
     with pytest.raises(PreconditionViolation):
         call()
@@ -606,7 +626,7 @@ def _three_oscillator(G=None):
     if G is None:
         return sys
     return NonlinearNetworkSystem(sys.node_dynamics, sys.coupling_matrix_fn,
-                                  G, 3)
+                                  G)
 
 
 def _with_nan(shape, index=0):
@@ -664,8 +684,6 @@ def _empty_trajectory():
     (lambda: ModalCouplingSpec(entries=[-1.0, -1.0],
                                off_diagonal=_with_nan((2, 2), 1)),
      InvalidInput),
-    (lambda: design_undirected(decompose(np.eye(2)), 1.0, margin=np.inf),
-     InvalidInput),
     (lambda: decompose([[NAN]]), InvalidInput),
     (lambda: verify([[NAN]], [[-1.0]], 1.0, spectrum(PAIR_LAPLACIAN)),
      InvalidInput),
@@ -685,8 +703,7 @@ def _empty_trajectory():
         "connection-row-sum-overflows", "linear-x0-nan", "agents-x0-inf",
         "nonlinear-x0-nan", "agent-A-nan", "agent-B-inf", "agent-K-nan",
         "agent-c-inf", "modal-sigma-inf", "modal-entry-nan",
-        "modal-entry-neg-inf", "modal-off-diagonal-nan", "design-margin-inf",
-        "decompose-A-nan", "verify-A-nan", "pseudo_inverse-nan",
+        "modal-entry-neg-inf", "modal-off-diagonal-nan", "decompose-A-nan", "verify-A-nan", "pseudo_inverse-nan",
         "gain_from_h-B-nan", "recovery_residual-K-nan",
         "controllability-A-nan", "sync_error-tol-inf", "trajectory-2d",
         "sync_error-empty", "settle-times-empty", "rms-empty"])

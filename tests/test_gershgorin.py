@@ -1,9 +1,11 @@
 """Geršgorin disc geometry tests.
 
 Covers:
-  - disc extraction (centers, radii, arguments, moduli)
+  - disc extraction (centers, radii, arguments, moduli), and matrices
+    that are not square, 2-D, numeric or finite rejected
   - half-plane classification
-  - the rotation certificate: worked examples, preconditions, and a
+  - the rotation certificate: worked examples, preconditions (a
+    non-finite rho among them), and a
     1000-trial randomized soundness suite against the dense eigensolver
   - real projection: entrywise behavior, radius shrinkage, and a
     1000-trial half-plane preservation suite
@@ -19,6 +21,7 @@ from helpers import admissible_rotation_window, strictly_left_matrix
 
 from netsync import (
     HalfPlane,
+    InvalidInput,
     PreconditionViolation,
     discs,
     half_plane,
@@ -49,9 +52,16 @@ def test_discs_complex_modulus_and_argument():
     assert np.isclose(d.center_moduli[0], np.sqrt(2.0))
 
 
+@pytest.mark.filterwarnings("error")
 def test_discs_rejects_nonsquare():
     with pytest.raises(PreconditionViolation):
         discs(np.zeros((2, 3)))
+    with pytest.raises(PreconditionViolation):
+        discs(np.ones((2, 2, 2)))                              # not 2-D
+    for Z in ([[1.0, 2.0], [3.0]], "abc", [[-np.inf, 0.0], [0.0, -1.0]],
+              [[np.nan]]):                  # ragged, not numeric, not finite
+        with pytest.raises(InvalidInput):
+            discs(Z)
 
 
 # ── half_plane ───────────────────────────────────────────────────────────────
@@ -95,11 +105,17 @@ def test_rotation_rejected_by_radius():
     assert not rotation_admissible(Z, np.exp(1j * np.pi / 4.0))
 
 
+@pytest.mark.filterwarnings("error")
 def test_rotation_preconditions():
     with pytest.raises(PreconditionViolation):
         rotation_admissible(np.diag([-1.0, -1.0]), -1.0)       # rho left
     with pytest.raises(PreconditionViolation):
         rotation_admissible(np.diag([1.0, -1.0]), 1.0)         # discs not left
+    for rho in (np.inf, np.nan, complex(1.0, np.inf)):         # rho not finite
+        with pytest.raises(PreconditionViolation):
+            rotation_admissible(-np.eye(2), rho)
+    with pytest.raises(InvalidInput):
+        rotation_admissible([[-np.inf]], 1.0)                  # Z not finite
 
 
 def test_rotation_certificate_randomized_1000():
