@@ -19,7 +19,7 @@ from netsync.scenarios import load_fixture
 def describe(name, topology):
     lap = build_laplacian(topology)
     spec = spectrum(lap)
-    connected = is_connected(spec, spec.zero_tolerance)
+    connected = is_connected(spec)
     print(f"\n=== {name} ===")
     print("Laplacian:")
     print(np.array_str(lap.matrix, precision=3, suppress_small=True))

@@ -108,7 +108,7 @@ def _cmd_spectrum(args) -> int:
         "lambda2": [lap_spec.lambda2.real, lap_spec.lambda2.imag],
         "theta_max_radians": lap_spec.theta_max,
         "theta_max_degrees": float(np.degrees(lap_spec.theta_max)),
-        "connected": is_connected(lap_spec, lap_spec.zero_tolerance),
+        "connected": is_connected(lap_spec),
         "defective": lap_spec.defective,
     }
     _emit(payload, args.out, "spectrum.json")
@@ -147,7 +147,7 @@ def _cmd_design(args) -> int:
         raise InvalidInput("directed design requires --argument (degrees)")
 
     lap_spec = spectrum(build_laplacian(topology))
-    if not is_connected(lap_spec, lap_spec.zero_tolerance):
+    if not is_connected(lap_spec):
         raise InvalidInput("topology is not connected; no design exists")
     if lap_spec.defective:
         # transverse modes do not decouple without a full Laplacian eigenbasis

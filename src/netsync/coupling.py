@@ -251,14 +251,11 @@ class ModalCouplingSpec:
     spec was designed against.  Entries on a conjugate mode pair must be
     complex conjugates of each other (and real on real modes) so the
     realized coupling matrix is real; realized designs enforce this via
-    the imaginary-residue gate.  Off-diagonal modal coupling can be
-    supplied explicitly via ``off_diagonal`` (never produced by the
-    design operations, which tend to degrade transverse performance).
+    the imaginary-residue gate.
     """
 
     entries: np.ndarray
     sigma: float = 1.0
-    off_diagonal: np.ndarray | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex).reshape(-1)
@@ -269,25 +266,14 @@ class ModalCouplingSpec:
                 "modal coupling entries must have nonpositive real parts"
             )
         object.__setattr__(self, "entries", _freeze(e))
-        if self.off_diagonal is not None:
-            od = np.asarray(self.off_diagonal, dtype=complex)
-            if od.shape != (e.size, e.size):
-                raise DimensionMismatch("off_diagonal must be n x n")
-            _require_finite("off_diagonal", od)
-            if np.abs(np.diag(od)).max(initial=0.0) != 0.0:
-                raise PreconditionViolation("off_diagonal must have zero diagonal")
-            object.__setattr__(self, "off_diagonal", _freeze(od))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     def modal_matrix(self) -> np.ndarray:
-        """The full modal coupling matrix (diagonal plus overrides)."""
-        m = np.diag(self.entries)
-        if self.off_diagonal is not None:
-            m = m + self.off_diagonal
-        return m
+        """The diagonal modal coupling matrix."""
+        return np.diag(self.entries)
 
 
 @dataclass(frozen=True)
@@ -299,8 +285,7 @@ class CouplingMatrices:
 
     def __post_init__(self):
         he = np.asarray(self.H_eff, dtype=float)
-        if not np.isfinite(he).all():
-            raise PreconditionViolation("coupling matrices must be finite")
+        _require_finite("H_eff", he)
         object.__setattr__(self, "H_eff", _freeze(he))
 
     @property

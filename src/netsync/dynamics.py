@@ -187,7 +187,7 @@ def _time_grid(t_end: float, dt: float) -> np.ndarray:
             f"need 0 < dt <= t_end < inf, got t_end={t_end}, dt={dt}")
     try:
         return dt * np.arange(int(round(t_end / dt)) + 1)
-    except (OverflowError, ValueError) as exc:
+    except (OverflowError, ValueError, MemoryError) as exc:
         raise InvalidInput(
             f"t_end / dt = {t_end / dt:.3g} steps: {exc}") from exc
 
@@ -429,19 +429,17 @@ class NonlinearCouplingSpec:
     The node Jacobian is split as DF(s) = Phi1 + Phi2(s) with Phi1
     constant; the designed coupling is M(x) = Psi1 + Psi2(x) with
 
-        Psi2(x) = -(1/kappa) * Phi2(diag(rho) @ x),
+        Psi2(x) = -(1/kappa) * Phi2(x),
 
     so that in every transverse mode the state-dependent parts cancel in
     real part when kappa matches the smallest real part of the nonzero
-    connection-matrix eigenvalues.  rho rescales the state fed to Phi2
-    (all ones by default).
+    connection-matrix eigenvalues.
     """
 
     Phi1: np.ndarray
     Phi2: Callable[[np.ndarray], np.ndarray]
     Psi1: np.ndarray
     kappa: float
-    rho: np.ndarray | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa != 0.0):
@@ -449,26 +447,20 @@ class NonlinearCouplingSpec:
         Phi1, Psi1 = _square_matrices("Phi1 and Psi1", self.Phi1, self.Psi1)
         object.__setattr__(self, "Phi1", Phi1)
         object.__setattr__(self, "Psi1", Psi1)
-        rho = (np.ones(Phi1.shape[0]) if self.rho is None
-               else np.asarray(self.rho, dtype=float).reshape(-1))
-        if rho.shape[0] != Phi1.shape[0]:
-            raise DimensionMismatch("rho must have one entry per state")
-        _require_finite("rho", rho)
-        object.__setattr__(self, "rho", rho)
 
 
 def design_nonlinear_coupling(spec: NonlinearCouplingSpec):
     """Build the state-dependent coupling matrix function
-    M(x) = Psi1 - (1/kappa) * Phi2(diag(rho) * x).
+    M(x) = Psi1 - (1/kappa) * Phi2(x).
 
     The returned callable broadcasts over leading axes whenever the
     spec's Phi2 does.
     """
-    Psi1, Phi2, kappa, rho = spec.Psi1, spec.Phi2, spec.kappa, spec.rho
+    Psi1, Phi2, kappa = spec.Psi1, spec.Phi2, spec.kappa
 
     def coupling_matrix(state) -> np.ndarray:
         state = np.asarray(state, dtype=float)
-        return Psi1 - (1.0 / kappa) * Phi2(rho * state)
+        return Psi1 - (1.0 / kappa) * Phi2(state)
 
     return coupling_matrix
 

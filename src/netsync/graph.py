@@ -159,26 +159,18 @@ def build_laplacian(topology: Topology) -> Laplacian:
     return Laplacian(matrix=np.diag(degrees) - a)
 
 
-def spectrum(lap: Laplacian, zero_tolerance: float | None = None) -> LaplacianSpectrum:
+def spectrum(lap: Laplacian) -> LaplacianSpectrum:
     """Eigendecompose a Laplacian with a deterministic mode order.
 
-    Parameters
-    ----------
-    lap : Laplacian
-    zero_tolerance : float, optional
-        Modulus below which an eigenvalue counts as zero; positive and
-        finite.  Defaults to ``1e-9 * ||L||_inf`` (with a floor of 1e-12
-        for the zero matrix).
+    The zero tolerance, the modulus below which an eigenvalue counts as
+    zero, is ``1e-9 * ||L||_inf`` with a floor of 1e-12 for the zero
+    matrix.
 
     Raises
     ------
-    InvalidInput
-        If zero_tolerance is given and not positive and finite.
     EigensolverFailure
         If the dense eigensolver does not converge.
     """
-    if zero_tolerance is not None and not 0.0 < zero_tolerance < np.inf:
-        raise InvalidInput("zero_tolerance must be positive and finite")
     m = lap.matrix
     try:
         vals, vecs = np.linalg.eig(m)
@@ -189,9 +181,8 @@ def spectrum(lap: Laplacian, zero_tolerance: float | None = None) -> LaplacianSp
     vals = vals[order]
     vecs = vecs[:, order]
 
-    if zero_tolerance is None:
-        scale = np.abs(m).sum(axis=1).max()
-        zero_tolerance = max(1e-9 * scale, 1e-12)
+    scale = np.abs(m).sum(axis=1).max()
+    zero_tolerance = max(1e-9 * scale, 1e-12)
 
     nonzero = vals[np.abs(vals) > zero_tolerance]
     if nonzero.size:
@@ -210,12 +201,10 @@ def spectrum(lap: Laplacian, zero_tolerance: float | None = None) -> LaplacianSp
     )
 
 
-def is_connected(spec: LaplacianSpectrum, tol: float) -> bool:
+def is_connected(spec: LaplacianSpectrum) -> bool:
     """True iff exactly one eigenvalue is zero (modulus <= tol) and all
-    others have real part > tol; InvalidInput unless tol is positive and
-    finite."""
-    if not 0.0 < tol < np.inf:
-        raise InvalidInput("tol must be positive and finite")
+    others have real part > tol, with tol the spectrum's zero_tolerance."""
+    tol = spec.zero_tolerance
     vals = spec.eigenvalues
     n_zero = int(np.count_nonzero(np.abs(vals) <= tol))
     others = vals[np.abs(vals) > tol]

@@ -180,13 +180,10 @@ def run_example1(seed: int = DEFAULT_SEED, t_end: float = 6.0,
         for key in ("H1", "H2", "H3")
     }
     reports, variants = _summarize_variants(trajectories)
-    verdict = (
-        analysis.overall_hurwitz
-        and all(v["converged"] for v in variants.values())
-        and all(t is not None
-                for v in variants.values()
-                for t in v["component_settle_times"])
-    )
+    # a component's spread never exceeds the error at the same tol, so a
+    # converged run also settles in every component
+    verdict = (analysis.overall_hurwitz
+               and all(v["converged"] for v in variants.values()))
     summary = {
         "lambda2": lap_spec.lambda2.real,
         "hurwitz": analysis.overall_hurwitz,

@@ -477,6 +477,11 @@ def test_reproduce_flag_validation(tmp_path, capsys):
     assert main(["reproduce", "example1", "--t-end", "1e300",
                  "--out", out]) == 2
     assert "InvalidInput" in capsys.readouterr().err
+    # a grid too large for any address space (1e17 samples, 711 PiB) is
+    # refused by the allocator; that too is a usage error
+    assert main(["reproduce", "example1", "--t-end", "1e14",
+                 "--out", out]) == 2
+    assert "InvalidInput" in capsys.readouterr().err
     assert main(["reproduce", "example4", "--baseline", "--out", out]) == 2
     assert "InvalidInput: --baseline applies to rossler only" in (
         capsys.readouterr().err)

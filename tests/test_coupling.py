@@ -281,9 +281,6 @@ def test_modal_spec_validation():
         ModalCouplingSpec(entries=np.array([0.5 + 0.0j]))   # positive real part
     with pytest.raises(PreconditionViolation):
         ModalCouplingSpec(entries=np.array([-1.0 + 0.0j]), sigma=0.0)
-    off = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(PreconditionViolation):
-        ModalCouplingSpec(entries=np.full(2, -1.0, complex), off_diagonal=off)
 
 
 # ── verify ───────────────────────────────────────────────────────────────────

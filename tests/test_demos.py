@@ -1,4 +1,5 @@
-"""Smoke test of the demos: each runs to exit 0 with nothing on stderr.
+"""Smoke test of the demos and the README quickstart: each runs to exit
+0 with nothing on stderr, and the quickstart prints ``True``.
 
 Demos 01-03 take under a second each.  04_chaotic_probe is left out: it
 integrates the three-oscillator Rossler probe for about 20 s, and the
@@ -6,6 +7,7 @@ acceptance suite already runs that scenario (criterion 9).
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -13,22 +15,34 @@ import pytest
 
 import netsync
 
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "demos")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
+
+
+def _script_args(demo: str) -> list:
+    """A demo's script, or the README's only python block run with -c."""
+    if demo != "README.md":
+        return [os.path.join(DEMOS, demo)]
+    with open(os.path.join(ROOT, demo), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(),
+                            re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    return ["-c", blocks[0]]
 
 
 @pytest.mark.parametrize("demo", ["01_laplacian_spectra.py",
                                   "02_inner_coupling_design.py",
-                                  "03_consensus_duality.py"])
+                                  "03_consensus_duality.py",
+                                  "README.md"])
 def test_demo_runs_cleanly(demo, tmp_path):
     # the child imports the same netsync as this process, installed or not
     src = os.path.dirname(os.path.dirname(netsync.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, os.path.join(DEMOS, demo)],
+        [sys.executable] + _script_args(demo),
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout
+    assert proc.stdout == "True\n" if demo == "README.md" else proc.stdout

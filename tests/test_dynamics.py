@@ -8,7 +8,8 @@ Covers:
   - the chaotic probe pieces: vector field values, connection-matrix
     eigenvalues, Jacobian split vs finite differences, coupling design
     formula cases
-  - sync_error / component settle times / divergence flagging
+  - sync_error / component settle times / divergence flagging, and a
+    converged run settling in every component no later than sync_time
   - trajectory CSV round-trip and its bytes against a csv.writer
     reference, stiffness warning (each simulator's guard calling
     ``stiffest_mode_modulus`` once), step-halving sanity,
@@ -43,6 +44,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (
     assert_no_child_left,
@@ -54,6 +56,7 @@ from helpers import (
 
 from netsync import (
     AgentModel,
+    CouplingMatrices,
     DimensionMismatch,
     InvalidInput,
     Laplacian,
@@ -406,16 +409,6 @@ def test_designed_coupling_constant_limit():
     assert np.array_equal(M(np.ones(3)), np.diag([-1.0, -2.0, -3.0]))
 
 
-def test_designed_coupling_state_rescaling():
-    # scalar case: Phi2(x) = x, rho = 2, kappa = 1 -> Psi2(x) = -2x
-    spec = NonlinearCouplingSpec(
-        Phi1=np.zeros((1, 1)),
-        Phi2=lambda s: np.asarray(s)[..., :, None] * np.ones((1, 1)),
-        Psi1=np.zeros((1, 1)), kappa=1.0, rho=[2.0])
-    M = design_nonlinear_coupling(spec)
-    assert np.allclose(M(np.array([3.0])), [[-6.0]])
-
-
 def test_coupling_spec_validation():
     Phi1, Phi2 = rossler_jacobian_parts()
     with pytest.raises(PreconditionViolation):
@@ -590,6 +583,33 @@ def test_component_settle_times_orders_components():
     assert fast < slow
 
 
+@st.composite
+def _metric_trajectories(draw):
+    shape = (draw(st.integers(1, 200)), draw(st.integers(1, 5)),
+             draw(st.integers(1, 4)))
+    values = st.floats(-10.0, 10.0)
+    states = draw(hnp.arrays(float, shape, elements=values))
+    spread = None
+    if draw(st.booleans()):
+        spread = draw(hnp.arrays(float, (shape[0], shape[2]),
+                                 elements=st.floats(0.0, 20.0)))
+    return Trajectory(times=np.arange(shape[0], dtype=float), states=states,
+                      spread=spread)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(traj=_metric_trajectories(), data=st.data())
+def test_converged_run_settles_in_every_component(traj, data):
+    # tol drawn freely or equal to a spread value, where < and >= split
+    spreads = dynamics._node_spread(traj)
+    tol = data.draw(st.floats(0.0, 20.0, exclude_min=True)
+                    | st.sampled_from(spreads[spreads > 0].tolist() or [1.0]))
+    report = sync_error(traj, tol)
+    if report.converged:
+        for t in component_settle_times(traj, tol):
+            assert t is not None and t <= report.sync_time
+
+
 NAN = float("nan")
 
 
@@ -681,9 +701,8 @@ def _empty_trajectory():
      PreconditionViolation),
     (lambda: ModalCouplingSpec(entries=[NAN]), InvalidInput),
     (lambda: ModalCouplingSpec(entries=[-np.inf]), InvalidInput),
-    (lambda: ModalCouplingSpec(entries=[-1.0, -1.0],
-                               off_diagonal=_with_nan((2, 2), 1)),
-     InvalidInput),
+    (lambda: CouplingMatrices(H_eff=[[NAN]]), InvalidInput),
+    (lambda: CouplingMatrices(H_eff=[[np.inf]]), InvalidInput),
     (lambda: decompose([[NAN]]), InvalidInput),
     (lambda: verify([[NAN]], [[-1.0]], 1.0, spectrum(PAIR_LAPLACIAN)),
      InvalidInput),
@@ -703,7 +722,8 @@ def _empty_trajectory():
         "connection-row-sum-overflows", "linear-x0-nan", "agents-x0-inf",
         "nonlinear-x0-nan", "agent-A-nan", "agent-B-inf", "agent-K-nan",
         "agent-c-inf", "modal-sigma-inf", "modal-entry-nan",
-        "modal-entry-neg-inf", "modal-off-diagonal-nan", "decompose-A-nan", "verify-A-nan", "pseudo_inverse-nan",
+        "modal-entry-neg-inf", "coupling-H_eff-nan", "coupling-H_eff-inf",
+        "decompose-A-nan", "verify-A-nan", "pseudo_inverse-nan",
         "gain_from_h-B-nan", "recovery_residual-K-nan",
         "controllability-A-nan", "sync_error-tol-inf", "trajectory-2d",
         "sync_error-empty", "settle-times-empty", "rms-empty"])
