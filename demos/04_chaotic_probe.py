@@ -6,7 +6,8 @@ With the classic output-selector coupling (second component only) the
 array synchronizes at eps = 3 but cannot at eps = 0.1.  Keeping the weak
 topology fixed, a coupling matrix that depends on the transmitting
 node's state cancels the state-dependent part of the Jacobian in every
-transverse mode and restores synchronization.
+transverse mode and restores synchronization.  Each run is the bundled
+``rossler`` scenario: seed 42, tolerance 5% of the RMS amplitude.
 
 Run:  python demos/04_chaotic_probe.py [t_end]
 (default horizon 100 s at dt = 1e-3; ~20 s of compute for all three runs)
@@ -14,44 +15,24 @@ Run:  python demos/04_chaotic_probe.py [t_end]
 
 import sys
 
-import numpy as np
-
-from netsync import build_three_oscillator, rms_amplitude, simulate_nonlinear, sync_error
-from netsync.scenarios import designed_rossler_coupling, load_fixture
+from netsync.scenarios import load_fixture, run_rossler
 
 t_end = float(sys.argv[1]) if len(sys.argv) > 1 else 100.0
 dt = 1e-3
 fx = load_fixture("rossler")
-delta = fx["delta"]
-
-rng = np.random.default_rng(42)
-x0 = np.array(fx["initial_center"]) + rng.uniform(-0.5, 0.5, (3, 3))
-
-selector = np.array(fx["selector_coupling"], dtype=float)
-
-
-def selector_coupling(state):
-    state = np.asarray(state, dtype=float)
-    return np.broadcast_to(selector, state.shape[:-1] + (3, 3)).copy()
-
-
-def run(label, eps, coupling):
-    sys_ = build_three_oscillator(eps, delta, coupling)
-    traj = simulate_nonlinear(sys_, x0, t_end, dt)
-    tol = 0.05 * rms_amplitude(traj)
-    report = sync_error(traj, tol)
+print(f"horizon {t_end} s, dt = {dt}\n")
+for label, baseline, eps in (
+        ("selector coupling, strong", True, fx["eps_strong"]),
+        ("selector coupling, weak", True, fx["eps_weak"]),
+        ("state-dependent design, weak", False, fx["eps_weak"])):
+    result = run_rossler(baseline=baseline, eps=eps, t_end=t_end,
+                         dt=dt)
+    (report,) = result.sync_reports.values()
     print(f"{label:34s} eps={eps:<4} -> "
           + (f"synchronized at t = {report.sync_time:6.2f} s"
              if report.converged else "no synchronization")
-          + f"   (final error {report.final_error:.2e}, tol {tol:.3f})")
-    return traj
-
-
-print(f"horizon {t_end} s, dt = {dt}\n")
-run("selector coupling, strong", fx["eps_strong"], selector_coupling)
-run("selector coupling, weak", fx["eps_weak"], selector_coupling)
-traj = run("state-dependent design, weak",
-           fx["eps_weak"], designed_rossler_coupling(fx["eps_weak"]))
+          + f"   (final error {report.final_error:.2e},"
+          f" tol {result.summary['tolerance']:.3f})")
 
 print("\nThe design keeps the constant part at a stabilizing level"
       f" ({fx['psi1_scale']} * identity against transverse damping"

@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True, help="topology JSON file")
     p.add_argument("--mode", required=True, choices=("undirected", "directed"))
     p.add_argument("--poles", default=None,
-                   help="comma-separated desired poles (one value is broadcast)")
+                   help="comma-separated desired poles (one value is "
+                        "broadcast); write --poles=P1,...,PN, since a "
+                        "separate negative list is read as an option")
     p.add_argument("--margin", type=float, default=1.0,
                    help="stability margin when no poles are given")
     p.add_argument("--argument", type=float, default=None,

@@ -28,7 +28,6 @@ __all__ = [
     "spectrum",
     "is_connected",
     "load_topology",
-    "save_topology",
 ]
 
 # Eigenvector-matrix condition number above which a spectrum is flagged
@@ -142,10 +141,6 @@ class LaplacianSpectrum:
     zero_tolerance: float
     defective: bool = field(default=False)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def build_laplacian(topology: Topology) -> Laplacian:
     """Build L = D - A from a topology.
@@ -242,13 +237,3 @@ def load_topology(path) -> Topology:
         raise InvalidInput("'weights' must be a 2-D array")
     return Topology(n_nodes=w.shape[0], directed=directed, weights=w)
 
-
-def save_topology(topology: Topology, path) -> None:
-    """Write a topology to the JSON format accepted by :func:`load_topology`."""
-    payload = {
-        "directed": topology.directed,
-        "weights": topology.weights.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -321,23 +321,19 @@ def designed_rossler_coupling(eps: float, fixture: dict | None = None):
     """State-dependent coupling for the three-oscillator probe.
 
     kappa is the smallest real part over the nonzero connection-matrix
-    eigenvalues (-eps for the cyclic probe), which makes the
-    state-dependent Jacobian part cancel in real part in every
-    transverse mode; the constant part is a positive multiple of the
+    eigenvalues, which makes the state-dependent Jacobian part cancel in
+    real part in every transverse mode.  The probe's spectrum is
+    {0, -eps +- i*delta} in closed form (see ``build_three_oscillator``),
+    so kappa = -eps.  The constant part is a positive multiple of the
     identity, stabilizing because those transverse factors have negative
     real part.
     """
     fx = fixture if fixture is not None else load_fixture("rossler")
-    G = build_three_oscillator(eps, fx["delta"], lambda s: np.zeros((3, 3)),
-                               a=fx["a"], b=fx["b"], c=fx["c"]).connection
-    gvals = np.linalg.eigvals(G)
-    nonzero = gvals[np.abs(gvals) > 1e-12 * max(1.0, np.abs(gvals).max())]
-    kappa = float(nonzero.real.min())
     Phi1, Phi2 = rossler_jacobian_parts(a=fx["a"], b=fx["b"], c=fx["c"])
     spec = NonlinearCouplingSpec(
         Phi1=Phi1, Phi2=Phi2,
         Psi1=fx["psi1_scale"] * np.eye(3),
-        kappa=kappa,
+        kappa=-eps,
     )
     return design_nonlinear_coupling(spec)
 

@@ -215,6 +215,9 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
                   ["--A", rotation_file, "--margin", "inf"],
                   ["--A", rotation_file, "--poles", "nan"],
                   ["--A", rotation_file, "--poles", "inf"],
+                  ["--A", str(tmp_path / "missing.json")],
+                  ["--A", rotation_file, "--poles", "a,b"],
+                  ["--A", rotation_file, "--poles=-1,-2,-3"],
                   # finite flags whose modal entries overflow
                   ["--A", rotation_file, "--margin", "1e308"],
                   ["--A", rotation_file, "--poles=-1e308"]):
@@ -241,10 +244,10 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
     cycle = _write_json(tmp_path / "cycle.json",
                         {"directed": True,
                          "weights": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]})
-    for value in ("nan", "inf"):
+    for extra in (["--argument", "nan"], ["--argument", "inf"], []):
         assert main(["design", "--A", rotation_file, "--topology", cycle,
-                     "--mode", "directed", "--argument", value]) == 2, value
-        assert "InvalidInput" in capsys.readouterr().err, value
+                     "--mode", "directed"] + extra) == 2, extra
+        assert "InvalidInput" in capsys.readouterr().err, extra
 
 
 def test_wrong_shaped_matrix_file_is_usage_error(path_topology_file,
@@ -348,7 +351,9 @@ def test_dualize_gain_not_fitting_b_is_usage_error(tmp_path, capsys):
 
 def test_dualize_missing_matrix_is_usage_error(tmp_path, capsys):
     b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
-    assert main(["dualize", "--direction", "gain-to-h", "--B", b_file]) == 2
+    for direction in ("gain-to-h", "h-to-gain"):
+        assert main(["dualize", "--direction", direction, "--B", b_file]) == 2
+        assert "InvalidInput" in capsys.readouterr().err, direction
 
 
 # ── reproduce ────────────────────────────────────────────────────────────────

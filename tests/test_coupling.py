@@ -3,12 +3,15 @@
 Covers:
   - decompose: fixture dynamics (including the defective ramp pair, via
     the Schur block fallback), plain diagonal matrices, reconstruction
-    invariants, eigenvalue clusters linked through chains, and the
-    ill-conditioned failure mode, also when the block form overflows
+    invariants, eigenvalue clusters linked through chains, Schur
+    diagonals whose clusters must be reordered, and the ill-conditioned
+    failure mode, also when the block form overflows
   - design_undirected: pole placement arithmetic, margin designs, the
-    already-stable clamp, and precondition errors
-  - design_directed: the two fixture designs, conjugate closure, the
-    argument-margin gate
+    already-stable clamp, and precondition errors (a complex mode with
+    no conjugate partner, unequal poles on a conjugate pair)
+  - design_directed: the two fixture designs, conjugate closure, +0j on
+    a conjugate pair at level zero, the argument-margin gate and an
+    argument outside (0, pi]
   - realize: fixture regressions (entrywise to the printed precision),
     scalar commutation, conjugate-closure residue gate
   - verify: closed-form mode eigenvalues for diagonal couplings, the
@@ -102,6 +105,25 @@ def test_decompose_repeated_but_diagonalizable():
     assert d.condition < 10.0
 
 
+@pytest.mark.parametrize("A, blocks", [
+    ([[0, 1, 1], [0, 1, 0], [0, 0, 0]], ((0, 1),)),
+    ([[0, 1, 1, 0], [0, 2, 0, 1], [0, 0, 0, 1], [0, 0, 0, 2]],
+     ((0, 1), (2, 3))),
+], ids=["one-cluster-split", "two-clusters-interleaved"])
+def test_decompose_reorders_schur_clusters(A, blocks):
+    # the Schur diagonal interleaves the clusters, so the block form
+    # reorders it before decoupling them
+    A = np.array(A, dtype=float)
+    d = decompose(A)
+    assert d.defective_blocks == blocks
+    assert np.allclose(d.P @ d.modal_matrix @ d.P_inv, A, rtol=0.0,
+                       atol=1e-12)
+    # entries constant on each cluster realize an H commuting with A
+    levels = -1.0 - d.mode_eigenvalues.real
+    H = realize(ModalCouplingSpec(entries=levels), d).H_eff
+    assert np.allclose(H @ A, A @ H, rtol=0.0, atol=1e-12)
+
+
 def test_decompose_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
         decompose(np.zeros((2, 3)))
@@ -152,6 +174,13 @@ def test_design_stable_dynamic_zero_margin_gives_zero_coupling():
     d = decompose(np.diag([-1.0, -2.0]))
     spec = design_undirected(d, 0.382, margin=0.0)
     assert np.all(spec.entries == 0.0)
+    # a conjugate pair at level zero gets +0j, not -0.0 from cos(argument)
+    d = decompose(np.array([[-1.0, -1.0], [1.0, -1.0]]))
+    spec = design_directed(d, 1.0 + 0.2j, np.radians(11.0),
+                           argument=np.radians(150.0), margin=0.0)
+    assert np.all(spec.entries == 0.0)
+    assert not np.signbit(spec.entries.real).any()
+    assert not np.signbit(spec.entries.imag).any()
 
 
 def test_design_margin_is_strict():
@@ -173,6 +202,11 @@ def test_design_undirected_preconditions():
                           poles=[-0.5, -0.5])
     with pytest.raises(DimensionMismatch):
         design_undirected(d, 0.5, poles=[-1.0])
+    with pytest.raises(PreconditionViolation, match="conjugate partner"):
+        design_undirected(decompose(np.diag([1j, 2.0])), 0.5)
+    with pytest.raises(PreconditionViolation, match="equal pole requests"):
+        design_undirected(decompose(np.array([[0.0, -1.0], [1.0, 0.0]])),
+                          0.5, poles=[-1.0, -2.0])
 
 
 def test_design_defective_cluster_requires_equal_poles(fx1):
@@ -226,6 +260,8 @@ def test_design_directed_preconditions():
         design_directed(d, -1.0 + 0.2j, 0.3, argument=2.8)
     with pytest.raises(PreconditionViolation):
         design_directed(d, 1.0, np.pi / 2.0, argument=2.8)
+    with pytest.raises(PreconditionViolation, match="argument"):
+        design_directed(d, 1.0, 0.3, argument=4.0)
 
 
 def test_design_directed_real_modes_get_real_entries():

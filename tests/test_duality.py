@@ -1,8 +1,9 @@
 """Gain <-> coupling conversions and rank gates.
 
 Covers:
-  - h_from_gain against the consensus fixture matrices, and the shape
-    gates of h_from_gain and recovery_residual
+  - h_from_gain against the consensus fixture matrices (also with a flat
+    B, read as a column), and the shape gates of h_from_gain (also a
+    3-D B), recovery_residual, controllability and AgentModel
   - pseudoinverse: worked values, left-inverse property, the four
     Moore-Penrose conditions, rank rejection (also of a B^T B singular
     in floating point)
@@ -42,6 +43,8 @@ def test_h_from_gain_fixture():
     fx = load_fixture("example3")
     H = h_from_gain(np.array(fx["B"], float), np.array(fx["K"], float))
     assert np.array_equal(H, np.array(fx["H6"], float))
+    # a flat B is read as a column
+    assert np.array_equal(h_from_gain(np.ravel(fx["B"]), fx["K"]), H)
 
 
 def test_h_from_gain_alternative_input_matrix():
@@ -58,6 +61,8 @@ def test_h_from_gain_zero_gain_gives_zero_matrix():
 def test_h_from_gain_dimension_gate():
     with pytest.raises(DimensionMismatch):
         h_from_gain(np.array([[1.0], [-1.0]]), np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch, match="ndim=3"):
+        h_from_gain(np.ones((2, 1, 1)), np.ones((1, 2)))
 
 
 def test_recovery_residual_dimension_gate():
@@ -180,6 +185,11 @@ def test_controllability_full_input():
     assert controllability(np.diag([1.0, 2.0, 3.0]), np.eye(3)) == 3
 
 
+def test_controllability_dimension_gate():
+    with pytest.raises(DimensionMismatch):
+        controllability(np.eye(2), np.ones((3, 1)))
+
+
 # ── properties ───────────────────────────────────────────────────────────────
 
 
@@ -207,6 +217,8 @@ def test_agent_model_validation():
         AgentModel(A=np.eye(2), B=np.ones((2, 3)))
     with pytest.raises(PreconditionViolation):
         AgentModel(A=np.eye(2), B=np.ones((2, 1)), c=0.0)
+    with pytest.raises(DimensionMismatch, match="K must be 1 x 2"):
+        AgentModel(A=np.eye(2), B=np.ones((2, 1)), K=np.ones((2, 2)))
     model = AgentModel(A=np.eye(2), B=np.array([[1.0], [-1.0]]),
                        K=np.array([1.0, 0.9]), c=0.5)
     assert model.K.shape == (1, 2)

@@ -22,15 +22,16 @@ Covers:
     and a finite state whose sum overflows running to the end
   - time-grid validation, NaN in the positive-scalar checks, non-finite
     inputs rejected with no warning (also by the design and duality
-    functions), malformed and empty trajectories, and the per-node
-    fallback for callables that broadcast wrong
+    functions), malformed and empty trajectories, an x0 of the wrong
+    shape, and the per-node fallback for callables that broadcast wrong
   - the CSV writer byte for byte against the reference on generated
     64-bit patterns, and its memory bounded by one chunk, each also with
     the file forced onto 1, 2 and 3 processes; its process count bounded
     by the CPUs and the file size, the file split inside a daemonic
     worker too, the range of a killed worker written by the parent, a
     worker ignoring SIGINT, a failing worker or an interrupt leaving no
-    file behind, and no worker left unreaped
+    file behind, and no worker left unreaped (checked on Linux, the one
+    platform where the writer forks)
 """
 
 import csv
@@ -686,6 +687,10 @@ def _empty_trajectory():
         LinearNetworkSystem(A=np.zeros((1, 1)), H_eff=-np.eye(1), sigma=1.0,
                             laplacian=PAIR_LAPLACIAN),
         [[NAN], [0.0]], 1.0, 0.1), InvalidInput),
+    (lambda: simulate_linear(
+        LinearNetworkSystem(A=np.zeros((2, 2)), H_eff=-np.eye(2), sigma=1.0,
+                            laplacian=PAIR_LAPLACIAN),
+        np.zeros((2, 3)), 1.0, 0.1), DimensionMismatch),
     (lambda: simulate_agents(
         AgentModel(A=np.zeros((1, 1)), B=np.eye(1), K=np.eye(1)),
         PAIR_LAPLACIAN, [[0.0], [np.inf]], 1.0, 0.1), InvalidInput),
@@ -719,9 +724,9 @@ def _empty_trajectory():
     (lambda: rms_amplitude(_empty_trajectory()), PreconditionViolation),
 ], ids=["A-nan", "H_eff-inf", "sigma-inf", "kappa-nan", "kappa-inf",
         "kappa-neg-inf", "Psi1-nan", "connection-nan",
-        "connection-row-sum-overflows", "linear-x0-nan", "agents-x0-inf",
-        "nonlinear-x0-nan", "agent-A-nan", "agent-B-inf", "agent-K-nan",
-        "agent-c-inf", "modal-sigma-inf", "modal-entry-nan",
+        "connection-row-sum-overflows", "linear-x0-nan", "linear-x0-shape",
+        "agents-x0-inf", "nonlinear-x0-nan", "agent-A-nan", "agent-B-inf",
+        "agent-K-nan", "agent-c-inf", "modal-sigma-inf", "modal-entry-nan",
         "modal-entry-neg-inf", "coupling-H_eff-nan", "coupling-H_eff-inf",
         "decompose-A-nan", "verify-A-nan", "pseudo_inverse-nan",
         "gain_from_h-B-nan", "recovery_residual-K-nan",
@@ -951,13 +956,13 @@ def test_trajectory_csv_process_count(tmp_path, monkeypatch, cpus,
     force_csv_processes(monkeypatch, cpus)
     monkeypatch.setattr(dynamics, "_CSV_MIN_CHUNKS_PER_PROCESS", min_chunks)
     forks = []
-    fork = os.fork
+    fork = getattr(os, "fork", None)    # Unix-only; the writer forks on Linux
 
     def spy():
         forks.append(os.getpid())
         return fork()
 
-    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(os, "fork", spy, raising=False)
     # one state entry per sample: a chunk is _CSV_CHUNK_ELEMENTS samples
     traj = Trajectory(times=np.arange(n_chunks * _CSV_CHUNK_ELEMENTS) * 1e-3,
                       states=np.zeros((n_chunks * _CSV_CHUNK_ELEMENTS, 1, 1)))

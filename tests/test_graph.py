@@ -9,9 +9,11 @@ Covers:
     positive and finite
   - structural invariants over random topologies: zero row sums, real
     nonnegative undirected spectra, eigenvector reconstruction, trace
-  - topology JSON round-trip and invariant rejection, including
-    degrees whose Laplacian row norms overflow and a non-boolean
-    "directed"
+  - topology and Laplacian invariant rejection (a node count that
+    disagrees with the weights, a non-square Laplacian), including
+    degrees whose Laplacian row norms overflow
+  - topology JSON loading of a hand-written file, and rejection of
+    malformed files (a non-object payload, a non-boolean "directed")
 """
 
 import json
@@ -29,7 +31,6 @@ from netsync import (
     build_laplacian,
     is_connected,
     load_topology,
-    save_topology,
     spectrum,
 )
 from netsync.scenarios import load_fixture
@@ -186,6 +187,13 @@ def test_laplacian_invariant_violations():
     for bad in (np.inf, np.nan):                          # non-finite
         with pytest.raises(InvalidInput):
             Laplacian(np.array([[bad, -bad], [-bad, bad]]))
+    with pytest.raises(InvalidInput, match="square"):
+        Laplacian(np.zeros((2, 3)))
+
+
+def test_topology_node_count_must_match_weights():
+    with pytest.raises(InvalidInput, match="disagrees"):
+        Topology(n_nodes=3, directed=False, weights=np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("weights, directed", [
@@ -208,7 +216,8 @@ def test_overflowing_degrees_rejected_without_warning(weights, directed):
 def test_topology_json_round_trip(tmp_path):
     top = random_connected_topology(np.random.default_rng(0), 5, directed=True)
     path = tmp_path / "topology.json"
-    save_topology(top, path)
+    path.write_text(json.dumps({"directed": top.directed,
+                                "weights": top.weights.tolist()}))
     loaded = load_topology(path)
     assert loaded.directed == top.directed
     assert np.array_equal(loaded.weights, top.weights)
@@ -221,6 +230,9 @@ def test_topology_json_rejects_invalid(tmp_path):
         load_topology(bad)  # asymmetric undirected
     bad.write_text("not json {")
     with pytest.raises(InvalidInput):
+        load_topology(bad)
+    bad.write_text("[[0, 1], [1, 0]]")
+    with pytest.raises(InvalidInput, match="object"):
         load_topology(bad)
     for directed in ("yes", "false", 1, 0, None, [True]):
         bad.write_text(json.dumps({"directed": directed,
