@@ -5,8 +5,9 @@ The cyclic connection matrix has transverse factors -eps +- i*delta.
 With the classic output-selector coupling (second component only) the
 array synchronizes at eps = 3 but cannot at eps = 0.1.  Keeping the weak
 topology fixed, a coupling matrix that depends on the transmitting
-node's state cancels the state-dependent part of the Jacobian in every
-transverse mode and restores synchronization.  Each run is the bundled
+node's state cancels the state-dependent part of the Jacobian in the
+M(s) term of every transverse mode (not in the (DM(s))s term of the full
+linearization) and restores synchronization.  Each run is the bundled
 ``rossler`` scenario: seed 42, tolerance 5% of the RMS amplitude.
 
 Run:  python demos/04_chaotic_probe.py [t_end]
@@ -37,5 +38,5 @@ for label, baseline, eps in (
 print("\nThe design keeps the constant part at a stabilizing level"
       f" ({fx['psi1_scale']} * identity against transverse damping"
       f" {fx['eps_weak']}) and adds -(1/kappa) * (state-dependent Jacobian"
-      " part), kappa = -eps, so the chaotic terms cancel in every"
-      " transverse mode.")
+      " part), kappa = -eps, so the chaotic terms cancel in the M(s) term"
+      " of every transverse mode.")

@@ -10,8 +10,10 @@ verdict), 1 on a domain failure (defective dynamics, margin violations,
 rank gates) or an unmet verdict, 2 on usage, file, or validation errors.
 Only a raised NetsyncError writes its name to stderr.  An unmet verdict,
 a design that is not Hurwitz or a scenario that misses its contracted
-outcome, writes its report or ``verdict-failed`` status line to stdout
-and nothing to stderr.
+outcome, writes its report or ``verdict-failed`` status line to stdout.
+It writes nothing to stderr, except that a ``reproduce`` run may print
+the simulators' stiffness warning (``stiffest mode modulus ... expect
+instability``) there.
 """
 
 from __future__ import annotations

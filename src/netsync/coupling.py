@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ArgumentMarginViolation,
@@ -126,10 +125,11 @@ def _block_modal_form(A: np.ndarray, cluster_tol: float):
     Returns (T, P, blocks): A = P T P^-1 with T block upper-triangular,
     one block per eigenvalue cluster, and blocks a list of index ranges.
     """
+    import scipy.linalg  # lazy: slowest import, and only this fallback uses it
     n = A.shape[0]
     try:
         T, Z = scipy.linalg.schur(A.astype(complex), output="complex")
-    except Exception as exc:  # LAPACK non-convergence
+    except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise EigensolverFailure(f"Schur decomposition failed: {exc}") from exc
 
     trexc = scipy.linalg.lapack.ztrexc

@@ -431,9 +431,13 @@ class NonlinearCouplingSpec:
 
         Psi2(x) = -(1/kappa) * Phi2(x),
 
-    so that in every transverse mode the state-dependent parts cancel in
-    real part when kappa matches the smallest real part of the nonzero
-    connection-matrix eigenvalues.
+    with kappa the smallest real part of the nonzero connection-matrix
+    eigenvalues mu_k.  Then Phi2(s) + Re(mu_k) * Psi2(s) = 0 on each
+    mode with Re(mu_k) = kappa, so the state-dependent part cancels in
+    the M(s) term of the transverse linearization.  The full
+    linearization of the coupling is D(M(x)x) = M(x) + (DM(x))x, whose
+    second term this cancellation drops; for the Rossler Phi2 it is
+    Psi1 - (2/kappa) * Phi2(x), not M(x).
     """
 
     Phi1: np.ndarray

@@ -321,8 +321,9 @@ def designed_rossler_coupling(eps: float, fixture: dict | None = None):
     """State-dependent coupling for the three-oscillator probe.
 
     kappa is the smallest real part over the nonzero connection-matrix
-    eigenvalues, which makes the state-dependent Jacobian part cancel in
-    real part in every transverse mode.  The probe's spectrum is
+    eigenvalues, which cancels the state-dependent Jacobian part in the
+    M(s) term of every transverse mode, though not in the (DM(s))s term
+    of D(M(x)x) (see ``NonlinearCouplingSpec``).  The probe's spectrum is
     {0, -eps +- i*delta} in closed form (see ``build_three_oscillator``),
     so kappa = -eps.  The constant part is a positive multiple of the
     identity, stabilizing because those transverse factors have negative

@@ -13,6 +13,7 @@ import errno
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -641,6 +642,13 @@ def _argvs(draw):
     return argv + value_flags("--c"), files
 
 
+# zero or more stiffness warnings as ``warnings.formatwarning`` writes
+# them: the message line, then the source line it points at
+_STIFFNESS_WARNINGS = re.compile(
+    r"(?:[^\n]*: UserWarning: stiffest mode modulus [^\n]*; expect "
+    r"instability\n(?:  [^\n]*\n)?)*")
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_argvs())
@@ -648,9 +656,10 @@ def test_generated_command_lines_end_in_exit_code_and_strict_json(tmp_path,
                                                                   case):
     # every outcome is 0, 1 or 2; a failure names a NetsyncError subclass
     # on stderr, and stdout and every JSON artifact are strict JSON (no
-    # NaN, no Infinity).  An unmet verdict exits 1 with nothing on stderr:
-    # a design that fails its Hurwitz verdict with its report, a reproduce
-    # run with a verdict-failed status line.
+    # NaN, no Infinity).  An unmet verdict exits 1 with nothing on stderr
+    # but stiffness warnings, which are routed there as a plain run
+    # prints them: a design that fails its Hurwitz verdict with its
+    # report, a reproduce run with a verdict-failed status line.
     argv, files = case
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
@@ -660,7 +669,14 @@ def test_generated_command_lines_end_in_exit_code_and_strict_json(tmp_path,
     if argv[0] == "reproduce":
         argv += ["--out", str(runs)]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename,
+                                         lineno, line))
+
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.showwarning = show
         try:
             code = main(argv)
         except SystemExit as exc:           # argparse rejected the line
@@ -672,6 +688,9 @@ def test_generated_command_lines_end_in_exit_code_and_strict_json(tmp_path,
             _strict_json(path.read_text())
         unmet = code == 1 and "verdict-failed" in out.getvalue()
         assert code == 0 or unmet or named, (argv, out.getvalue(), err)
+        if unmet:
+            assert _STIFFNESS_WARNINGS.fullmatch(err.getvalue()), (
+                argv, err.getvalue())
         return
     report = _strict_json(out.getvalue()) if out.getvalue() else None
     if code == 0:

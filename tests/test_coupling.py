@@ -5,7 +5,8 @@ Covers:
     the Schur block fallback), plain diagonal matrices, reconstruction
     invariants, eigenvalue clusters linked through chains, Schur
     diagonals whose clusters must be reordered, and the ill-conditioned
-    failure mode, also when the block form overflows
+    failure mode, also when the block form overflows; a failed Schur
+    decomposition is EigensolverFailure, any other error propagates
   - design_undirected: pole placement arithmetic, margin designs, the
     already-stable clamp, and precondition errors (a complex mode with
     no conjugate partner, unequal poles on a conjugate pair)
@@ -32,6 +33,7 @@ from netsync import (
     DefectiveMatrix,
     DimensionMismatch,
     ArgumentMarginViolation,
+    EigensolverFailure,
     Laplacian,
     ModalCouplingSpec,
     PreconditionViolation,
@@ -127,6 +129,21 @@ def test_decompose_reorders_schur_clusters(A, blocks):
 def test_decompose_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
         decompose(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("raised, expected", [
+    (np.linalg.LinAlgError("no convergence"), EigensolverFailure),
+    (MemoryError(), MemoryError),
+], ids=["lapack-failure", "other-error"])
+def test_decompose_schur_failure(monkeypatch, raised, expected):
+    import scipy.linalg
+
+    def schur(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(scipy.linalg, "schur", schur)
+    with pytest.raises(expected):
+        decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_cluster_labels_follow_chains():
