@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=("undirected", "directed"))
     p.add_argument("--poles", default=None,
                    help="comma-separated desired poles (one value is "
-                        "broadcast); write --poles=P1,...,PN, since a "
-                        "separate negative list is read as an option")
+                        "broadcast)")
     p.add_argument("--margin", type=float, default=1.0,
                    help="stability margin when no poles are given")
     p.add_argument("--argument", type=float, default=None,
@@ -290,9 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_poles(argv: list) -> list:
+    """argv with ``--poles V`` as ``--poles=V`` when V starts with a single
+    ``-``, which argparse would read as an option (``-2,-2``); also for
+    the abbreviations of ``--poles`` that argparse accepts."""
+    out = []
+    for arg in argv:
+        if (out and len(out[-1]) > 2 and "--poles".startswith(out[-1])
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_poles(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except NetsyncError as exc:

@@ -251,6 +251,24 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
         assert "InvalidInput" in capsys.readouterr().err, extra
 
 
+def test_design_poles_as_separate_negative_list(path_topology_file, tmp_path,
+                                                capsys):
+    # "--poles -2,-2" is the value of --poles, not an unknown option
+    rotation_file = _write_json(tmp_path / "A_rot.json",
+                                [[0.0, 1.0], [-1.0, 0.0]])
+    base = ["design", "--A", rotation_file, "--topology", path_topology_file,
+            "--mode", "undirected"]
+    outputs = []
+    for poles in (["--poles", "-2,-2"], ["--p", "-2,-2"],
+                  ["--poles=-2,-2"]):
+        assert main(base + poles) == 0, poles
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out and all(o.out == outputs[0].out for o in outputs)
+    assert all(o.err == "" for o in outputs)
+    assert main(base + ["--poles", "-a,-b"]) == 2
+    assert "InvalidInput" in capsys.readouterr().err
+
+
 def test_wrong_shaped_matrix_file_is_usage_error(path_topology_file,
                                                  tmp_path, capsys):
     wide = _write_json(tmp_path / "A_wide.json", [[1.0, 0.0, 0.0],

@@ -20,6 +20,9 @@ Covers:
   - the nonlinear simulator bit for bit against a per-step RK4 loop
     (designed, selector, random zero-row-sum and per-node couplings),
     and a finite state whose sum overflows running to the end
+  - the designed probe's float kernel: taken by that probe alone, bit
+    for bit against a Python-float RK4 of its closed form, within
+    1e-12 relative of the numpy path, and diverging at the same step
   - time-grid validation, NaN in the positive-scalar checks, non-finite
     inputs rejected with no warning (also by the design and duality
     functions), malformed and empty trajectories, an x0 of the wrong
@@ -480,7 +483,9 @@ def _nonlinear_systems(fx):
     G -= np.diag(G.sum(axis=1))
     probe = build_three_oscillator(eps, delta, designed)
     return {
-        "designed": probe,
+        # the bare vector field keeps this coupling on the numpy path
+        "designed": NonlinearNetworkSystem(rossler_vector_field, designed,
+                                           probe.connection),
         "selector": build_three_oscillator(eps, delta, selector_coupling),
         "random-G": NonlinearNetworkSystem(
             node_dynamics=rossler_vector_field, coupling_matrix_fn=designed,
@@ -510,6 +515,125 @@ def test_nonlinear_simulator_equals_per_step_rk4(case):
     assert np.array_equal(traj.states, _rk4_loop(rhs, x0, 300, 1e-3))
 
 
+def _float_probe_rk4(a, b, c, kappa, Psi1, G, x0, steps, dt):
+    """Reference for the designed probe: RK4 in Python floats of
+    dx_i = F(x_i) + sum_j G_ij (Psi1 x_j - (2/kappa)(0, 0, x_j z_j))."""
+    P, G, k = Psi1.tolist(), G.tolist(), 2.0 / kappa
+
+    def rhs(X):
+        nodes = [X[3 * j:3 * j + 3] for j in range(3)]
+        sent = [[P[r][0] * x + P[r][1] * y + P[r][2] * z
+                 - (k * (x * z) if r == 2 else 0.0) for r in range(3)]
+                for x, y, z in nodes]
+        return [sum(G[i][j] * sent[j][r] for j in range(3)) + f
+                for i, (x, y, z) in enumerate(nodes)
+                for r, f in enumerate((-(y + z), x + a * y,
+                                       b + z * (x - c)))]
+
+    h, sixth = 0.5 * dt, dt / 6.0
+    X, out = x0.ravel().tolist(), [x0.ravel().tolist()]
+    for _ in range(steps):
+        k1 = rhs(X)
+        k2 = rhs([x + h * d for x, d in zip(X, k1)])
+        k3 = rhs([x + h * d for x, d in zip(X, k2)])
+        k4 = rhs([x + dt * d for x, d in zip(X, k3)])
+        X = [x + sixth * (p + 2.0 * q + 2.0 * r + s)
+             for x, p, q, r, s in zip(X, k1, k2, k3, k4)]
+        out.append(X)
+    return np.array(out).reshape(-1, 3, 3)
+
+
+@pytest.mark.parametrize("dt", [0.015, 0.02])
+def test_designed_probe_equals_float_rk4_of_closed_form(dt):
+    # a full Psi1, a positive kappa and non-default a, b, c exercise every
+    # coefficient of the float kernel.  Steps this long let a one-ulp
+    # change of the field reach the states; at dt = 0.02 the run
+    # overflows and must stop where the reference turns non-finite
+    rng = np.random.default_rng(41)
+    Psi1 = rng.normal(0.0, 1.0, (3, 3))
+    a, b, c, kappa = 0.3, 0.1, 5.5, 0.7
+    Phi1, Phi2 = rossler_jacobian_parts(a=a, b=b, c=c)
+    M = design_nonlinear_coupling(NonlinearCouplingSpec(
+        Phi1=Phi1, Phi2=Phi2, Psi1=Psi1, kappa=kappa))
+    probe = build_three_oscillator(0.4, 0.9, M, a=a, b=b, c=c)
+    x0 = np.ones((3, 3)) + rng.uniform(-0.5, 0.5, (3, 3))
+    traj = simulate_nonlinear(probe, x0, 300 * dt, dt)
+    ref = _float_probe_rk4(a, b, c, kappa, Psi1, probe.connection, x0,
+                           300, dt)
+    last = traj.times.shape[0]
+    assert traj.diverged == (dt == 0.02) == (last < 301)
+    assert np.array_equal(traj.states, ref[:last])
+    assert traj.diverged == (not np.isfinite(ref[min(last, 300)]).all())
+
+
+def _probe_pair(eps):
+    """The designed probe of the ``rossler`` fixture, once as
+    build_three_oscillator builds it and once with the bare vector field,
+    which keeps it on the numpy path."""
+    fx = load_fixture("rossler")
+    probe = build_three_oscillator(eps, fx["delta"],
+                                   designed_rossler_coupling(eps, fx))
+    return probe, NonlinearNetworkSystem(
+        rossler_vector_field, probe.coupling_matrix_fn, probe.connection)
+
+
+def test_designed_probe_path_selection(monkeypatch):
+    # only the probe of build_three_oscillator with the library's designed
+    # coupling over the Rossler Phi2 takes the float kernel
+    calls = []
+    kernel = dynamics._integrate_designed_probe
+    monkeypatch.setattr(dynamics, "_integrate_designed_probe",
+                        lambda *args: calls.append(args) or kernel(*args))
+    Phi1, Phi2 = rossler_jacobian_parts()
+    designed, copied_phi2 = (design_nonlinear_coupling(NonlinearCouplingSpec(
+        Phi1=Phi1, Phi2=phi2, Psi1=5.0 * np.eye(3), kappa=-0.3))
+        for phi2 in (Phi2, lambda s: Phi2(s)))
+    selector = np.array(load_fixture("rossler")["selector_coupling"])
+    probe = build_three_oscillator(0.3, 1.0, designed)
+    expected = [
+        (probe, 1),
+        (NonlinearNetworkSystem(rossler_vector_field, designed,
+                                probe.connection), 0),
+        (build_three_oscillator(0.3, 1.0, copied_phi2), 0),
+        (build_three_oscillator(0.3, 1.0, lambda s: np.broadcast_to(
+            selector, np.shape(s)[:-1] + (3, 3))), 0),
+        (build_three_oscillator(0.3, 1.0, designed, a=np.array(0.2)), 0),
+    ]
+    x0 = np.ones((3, 3))
+    for sys, taken in expected:
+        calls.clear()
+        simulate_nonlinear(sys, x0, 0.01, 1e-3)
+        assert len(calls) == taken, sys
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 3.0])
+def test_designed_probe_kernel_matches_numpy_path(eps):
+    probe, plain = _probe_pair(eps)
+    fx = load_fixture("rossler")
+    x0 = (np.array(fx["initial_center"], dtype=float)
+          + np.random.default_rng(33).uniform(-1.0, 1.0, (3, 3)))
+    fast, slow = (simulate_nonlinear(sys, x0, 0.3, 1e-3)
+                  for sys in (probe, plain))
+    assert fast.times.shape == slow.times.shape == (301,)
+    assert not fast.diverged and not slow.diverged
+    assert (np.abs(fast.states - slow.states)
+            <= 1e-12 * np.maximum(1.0, np.abs(slow.states))).all()
+
+
+def test_designed_probe_diverges_at_the_same_step_on_both_paths():
+    # at dt = 0.5 the probe overflows within a few steps
+    probe, plain = _probe_pair(load_fixture("rossler")["eps_weak"])
+    x0 = np.ones((3, 3)) + np.random.default_rng(34).uniform(-0.5, 0.5, (3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast, slow = (simulate_nonlinear(sys, x0, 5.0, 0.5)
+                      for sys in (probe, plain))
+    assert fast.diverged and slow.diverged
+    assert fast.times.shape[0] < 11
+    assert np.array_equal(fast.times, slow.times)
+    assert np.isfinite(fast.states).all()
+
+
 def test_finite_state_with_overflowing_sum_is_not_diverged():
     still = NonlinearNetworkSystem(
         node_dynamics=lambda s: np.zeros(np.shape(s)),
@@ -525,24 +649,28 @@ def test_finite_state_with_overflowing_sum_is_not_diverged():
 
 def test_misbroadcasting_dynamics_falls_back_to_loop():
     # a node dynamic that returns the right shape but mixes nodes when
-    # called on the whole stack must be evaluated node by node
-    def pooled(state):
-        state = np.asarray(state, dtype=float)
-        return -state + 0.1 * np.sum(state)
-
-    def per_node(state):
-        state = np.asarray(state, dtype=float)
-        return -state + 0.1 * np.sum(state, axis=-1, keepdims=True)
-
+    # called on the whole stack must be evaluated node by node, also when
+    # the mixing is far below numpy's default relative tolerance
     def coupling(state):
         return np.broadcast_to(-np.eye(3), np.shape(state)[:-1] + (3, 3))
 
     x0 = np.random.default_rng(22).uniform(-1.0, 1.0, (3, 3))
-    trajs = [simulate_nonlinear(NonlinearNetworkSystem(
-        node_dynamics=f, coupling_matrix_fn=coupling,
-        connection=build_three_oscillator(0.1, 0.0, coupling).connection),
-        x0, 1.0, 1e-3) for f in (pooled, per_node)]
-    assert np.allclose(trajs[0].states, trajs[1].states, rtol=0.0, atol=1e-12)
+    connection = build_three_oscillator(0.1, 0.0, coupling).connection
+    for weight in (0.1, 1e-7):
+        def pooled(state):
+            state = np.asarray(state, dtype=float)
+            return -state + weight * np.sum(state)
+
+        def per_node(state):
+            state = np.asarray(state, dtype=float)
+            return -state + weight * np.sum(state, axis=-1, keepdims=True)
+
+        trajs = [simulate_nonlinear(NonlinearNetworkSystem(
+            node_dynamics=f, coupling_matrix_fn=coupling,
+            connection=connection), x0, 1.0, 1e-3)
+            for f in (pooled, per_node)]
+        assert np.allclose(trajs[0].states, trajs[1].states, rtol=0.0,
+                           atol=1e-12), weight
 
 
 # ── synchronization metrics ──────────────────────────────────────────────────
