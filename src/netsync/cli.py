@@ -141,12 +141,9 @@ def _cmd_design(args) -> int:
         raise InvalidInput("--argument must be finite")
     A = _load_matrix(args.A)
     topology = load_topology(args.topology)
-    if args.mode == "undirected" and topology.directed:
-        raise InvalidInput("undirected design requested on a directed topology")
-    if args.mode == "directed" and not topology.directed:
-        raise InvalidInput("directed design requested on an undirected topology")
-    if args.mode == "directed" and args.argument is None:
-        raise InvalidInput("directed design requires --argument (degrees)")
+    if topology.directed != (args.argument is not None):
+        raise InvalidInput("a directed topology requires --argument (degrees), "
+                           "an undirected one takes none")
 
     lap_spec = spectrum(build_laplacian(topology))
     if not is_connected(lap_spec):
@@ -159,7 +156,7 @@ def _cmd_design(args) -> int:
         )
     decomp = decompose(A)
     poles = _parse_poles(args.poles, decomp.n)
-    if args.mode == "undirected":
+    if not topology.directed:
         spec = design_undirected(decomp, lap_spec.lambda2.real, poles=poles,
                                  margin=args.margin, sigma=args.sigma)
     else:
@@ -178,9 +175,7 @@ def _cmd_dualize(args) -> int:
     _require_positive_flag("--c", args.c)
     B = _load_matrix(args.B)
     payload: dict = {"B": B.tolist(), "c": args.c}
-    if args.direction == "gain-to-h":
-        if args.K is None:
-            raise InvalidInput("gain-to-h requires --K")
+    if args.K is not None:
         K = _load_matrix(args.K)
         if K.shape != (B.shape[1], B.shape[0]):
             raise InvalidInput(
@@ -189,14 +184,12 @@ def _cmd_dualize(args) -> int:
         H_paper = h_from_gain(B, K)
         residual = 0.0
     else:
-        if args.H is None:
-            raise InvalidInput("h-to-gain requires --H (the H_paper matrix)")
         H_paper = _load_matrix(args.H)
         K = gain_from_h(B, H_paper)
         residual = recovery_residual(B, H_paper, K)
     payload.update({"K": K.tolist(), "H_paper": H_paper.tolist(),
                     "H_eff": (-H_paper).tolist(), "residual": residual})
-    if args.direction == "h-to-gain":
+    if args.H is not None:
         payload["pseudo_inverse"] = pseudo_inverse(B).tolist()
     if args.A is not None:
         A = _load_matrix(args.A)
@@ -252,24 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="synthesize and verify an inner coupling matrix")
     p.add_argument("--A", required=True, help="node dynamic matrix JSON file")
     p.add_argument("--topology", required=True, help="topology JSON file")
-    p.add_argument("--mode", required=True, choices=("undirected", "directed"))
-    p.add_argument("--poles", default=None,
-                   help="comma-separated desired poles (one value is "
-                        "broadcast)")
-    p.add_argument("--margin", type=float, default=1.0,
-                   help="stability margin when no poles are given")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--poles", default=None,
+                        help="comma-separated desired poles (one value is "
+                             "broadcast)")
+    target.add_argument("--margin", type=float, default=1.0,
+                        help="stability margin when no poles are given")
     p.add_argument("--argument", type=float, default=None,
-                   help="modal entry argument in degrees (directed mode)")
+                   help="modal entry argument in degrees (directed topologies)")
     p.add_argument("--sigma", type=float, default=1.0, help="coupling strength")
     p.add_argument("--out", default=None, help="output directory (default: stdout)")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("dualize", help="convert between gains and coupling matrices")
-    p.add_argument("--direction", required=True,
-                   choices=("gain-to-h", "h-to-gain"))
     p.add_argument("--B", required=True, help="input matrix JSON file")
-    p.add_argument("--K", default=None, help="gain matrix JSON file")
-    p.add_argument("--H", default=None, help="inner coupling matrix JSON file")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--K", default=None, help="gain matrix JSON file")
+    given.add_argument("--H", default=None, help="inner coupling matrix JSON file")
     p.add_argument("--A", default=None,
                    help="dynamics matrix JSON file (adds the controllability gate)")
     p.add_argument("--c", type=float, default=1.0, help="coupling strength")

@@ -509,10 +509,12 @@ class ModeRecord:
 
 @dataclass(frozen=True)
 class ModeAnalysis:
-    """Per-transverse-mode spectra and the overall Hurwitz verdict."""
+    """Per-transverse-mode spectra at coupling strength ``sigma`` and the
+    overall Hurwitz verdict."""
 
     modes: tuple
     overall_hurwitz: bool
+    sigma: float
 
 
 def _mode_spectra(A, H_eff, sigma: float, lambdas) -> np.ndarray:
@@ -555,14 +557,15 @@ def verify(A, H_eff, sigma: float, lap_spectrum: LaplacianSpectrum) -> ModeAnaly
             zip(lambdas, _mode_spectra(A, H, sigma, lambdas)), start=2)
     )
     hurwitz = all(r.max_real_part < _HURWITZ_THRESHOLD for r in records)
-    return ModeAnalysis(modes=records, overall_hurwitz=hurwitz)
+    return ModeAnalysis(modes=records, overall_hurwitz=hurwitz,
+                        sigma=float(sigma))
 
 
 def design_report(spec: ModalCouplingSpec | None,
                   matrices: CouplingMatrices,
-                  analysis: ModeAnalysis,
-                  sigma: float | None = None) -> dict:
-    """JSON-ready design report.
+                  analysis: ModeAnalysis) -> dict:
+    """JSON-ready design report; ``sigma`` is the strength ``analysis``
+    was computed at.
 
     Schema::
 
@@ -571,14 +574,12 @@ def design_report(spec: ModalCouplingSpec | None,
          "modes": [{"k": k, "lambda": [re, im], "max_real_part": r}, ...],
          "hurwitz": bool}
     """
-    if sigma is None:
-        sigma = spec.sigma if spec is not None else 1.0
     return {
         "h_entries": (
             [[float(e.real), float(e.imag)] for e in spec.entries]
             if spec is not None else None
         ),
-        "sigma": float(sigma),
+        "sigma": analysis.sigma,
         "H_eff": matrices.H_eff.tolist(),
         "H_paper": matrices.H_paper.tolist(),
         "modes": [

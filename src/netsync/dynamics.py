@@ -85,17 +85,13 @@ _STABILITY_LIMIT = 2.5
 # Entries of the stacked propagator powers [Z, ..., Z^s] of the linear
 # simulators: bounds their memory and the work of one block of steps.
 _BLOCK_ELEMENTS = 1 << 16
-# Entries of one chunk of basis states stepped to build the one-step map;
-# small chunks keep the RK4 temporaries far below one propagator.
-_BASIS_CHUNK_ELEMENTS = 1 << 12
-# Entries of the group of states the linear simulators advance before
-# recombining, recording and checking them: amortises those per-block
-# calls when blocks are short, and bounds the group buffer.
-_GROUP_ELEMENTS = 1 << 12
-# State entries of one chunk of time samples that the CSV writer formats
-# with one ``%`` over its cell grid and writes at once: bounds the grid,
-# the repeated row template and the chunk's text.
-_CSV_CHUNK_ELEMENTS = 1 << 12
+# Entries that one Python-level iteration hands to numpy: the basis states
+# stepped at once to build the one-step map, the group of states the
+# linear simulators advance before recombining, recording and checking
+# them, and the state entries of the chunk of time samples that the CSV
+# writer formats with one ``%``. Enough to amortise the per-iteration
+# calls; small enough to bound the buffers, RK4 temporaries and text.
+_CHUNK_ELEMENTS = 1 << 12
 # Chunks each process must get before the CSV writer forks a worker:
 # forking and reaping one costs 4-5 ms in a 141 MB process on a 2-CPU
 # Linux VM, about two chunks of formatting there, and a worker's range
@@ -250,7 +246,7 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     powers = np.zeros((m, s * m))
     Z = powers[:, :m]
     P = Z[n:, n:]
-    chunk = max(1, _BASIS_CHUNK_ELEMENTS // D)
+    chunk = max(1, _CHUNK_ELEMENTS // D)
     for j in range(0, D, chunk):
         rows = min(chunk, D - j)
         basis = np.eye(rows, D, j).reshape(rows, N, n)
@@ -275,7 +271,7 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     states[0] = x0
     spread[0] = e.max(axis=0) - e.min(axis=0)
     # ys[0] is y; the blocks of one group fill ys[1:] in turn
-    g = max(1, _GROUP_ELEMENTS // (s * m))
+    g = max(1, _CHUNK_ELEMENTS // (s * m))
     ys = np.empty((g * s + 1, m))
     flat = ys.reshape(-1)
     ys[0, :n] = mean
@@ -762,7 +758,7 @@ def rms_amplitude(traj: Trajectory) -> float:
 
 def _csv_chunk(traj: Trajectory) -> int:
     """Time samples per chunk of the CSV writer."""
-    return max(1, _CSV_CHUNK_ELEMENTS // max(1, traj.n_nodes * traj.node_dim))
+    return max(1, _CHUNK_ELEMENTS // max(1, traj.n_nodes * traj.node_dim))
 
 
 def _csv_processes(n_chunks: int) -> int:

@@ -147,8 +147,7 @@ def _fixture_residuals(fx: dict, realized: dict) -> dict:
 def _consensus_design(B, K, c: float, H_paper, analysis,
                       residual: float) -> dict:
     """Design report of the gain-derived coupling H_paper = -B K."""
-    report = design_report(None, CouplingMatrices(H_eff=-H_paper), analysis,
-                           sigma=c)
+    report = design_report(None, CouplingMatrices(H_eff=-H_paper), analysis)
     report.update({"K": K.tolist(), "B": B.tolist(), "c": c,
                    "residual": residual})
     return report

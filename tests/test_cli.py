@@ -3,11 +3,12 @@
 Covers the exit-code contract (0 success / expected verdict, 1 domain
 failure, 2 usage or I/O failure, also when the range of a failed forked
 CSV worker fails again in the parent), report schemas, error names on
-stderr, and byte-identical outputs for identical configurations; a
-derandomized property over generated spectrum, design, dualize and
-reproduce command lines.
+stderr, byte-identical outputs for identical configurations, and the
+README's usage lines against the parser; a derandomized property over
+generated spectrum, design, dualize and reproduce command lines.
 """
 
+import argparse
 import contextlib
 import errno
 import io
@@ -27,13 +28,24 @@ from helpers import assert_no_child_left, force_csv_processes
 
 import netsync
 from netsync import dynamics, errors, scenarios
-from netsync.cli import main
+from netsync.cli import build_parser, main
 from netsync.scenarios import load_fixture
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _exit_code(argv):
+    """main's exit code, also when argparse rejects the command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -120,7 +132,7 @@ def test_design_undirected_uniform_level(path_topology_file, tmp_path, capsys):
     a_file = _write_json(tmp_path / "A.json", fx["A"])
     lam2 = 2.0 - 2.0 * np.cos(np.pi / 5.0)
     code = main(["design", "--A", a_file, "--topology", path_topology_file,
-                 "--mode", "undirected", "--poles", str(-20.0 * lam2)])
+                 "--poles", str(-20.0 * lam2)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["hurwitz"] is True
@@ -135,7 +147,7 @@ def test_design_directed_reproduces_fixture(directed_topology_file, tmp_path,
     spec = json.loads((capsys.readouterr().out or "null"))  # drain
     lam2_real = 0.9924476406218199
     code = main(["design", "--A", a_file, "--topology", directed_topology_file,
-                 "--mode", "directed", "--argument", str(fx["H4_argument_deg"]),
+                 "--argument", str(fx["H4_argument_deg"]),
                  "--poles", str(-lam2_real)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -149,26 +161,16 @@ def test_design_argument_margin_violation_is_domain_error(
     fx = load_fixture("example2")
     a_file = _write_json(tmp_path / "A.json", fx["A"])
     code = main(["design", "--A", a_file, "--topology", directed_topology_file,
-                 "--mode", "directed", "--argument", "100.0"])
+                 "--argument", "100.0"])
     assert code == 1
     assert "ArgumentMarginViolation" in capsys.readouterr().err
-
-
-def test_design_mode_topology_mismatch_is_usage_error(
-        path_topology_file, directed_topology_file, tmp_path, capsys):
-    a_file = _write_json(tmp_path / "A.json", [[0.0]])
-    assert main(["design", "--A", a_file, "--topology", path_topology_file,
-                 "--mode", "directed", "--argument", "150"]) == 2
-    assert main(["design", "--A", a_file, "--topology", directed_topology_file,
-                 "--mode", "undirected"]) == 2
 
 
 def test_design_disconnected_topology_is_usage_error(tmp_path, capsys):
     w = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     topo = _write_json(tmp_path / "disc.json", {"directed": False, "weights": w})
     a_file = _write_json(tmp_path / "A.json", [[0.0]])
-    assert main(["design", "--A", a_file, "--topology", topo,
-                 "--mode", "undirected"]) == 2
+    assert main(["design", "--A", a_file, "--topology", topo]) == 2
 
 
 def test_design_defective_laplacian_is_domain_error(tmp_path, capsys):
@@ -177,7 +179,7 @@ def test_design_defective_laplacian_is_domain_error(tmp_path, capsys):
     topo = _write_json(tmp_path / "chain.json", {"directed": True, "weights": w})
     a_file = _write_json(tmp_path / "A.json", [[0.0]])
     code = main(["design", "--A", a_file, "--topology", topo,
-                 "--mode", "directed", "--argument", "150"])
+                 "--argument", "150"])
     assert code == 1
     assert "DefectiveMatrix" in capsys.readouterr().err
 
@@ -206,8 +208,7 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
                                 [[0.0, 1.0], [-1.0, 0.0]])
     nan_file = tmp_path / "A_nan.json"
     nan_file.write_text("[[1.0, NaN], [0.0, 1.0]]")
-    base = ["design", "--topology", path_topology_file, "--mode",
-            "undirected"]
+    base = ["design", "--topology", path_topology_file]
     for extra in (["--A", a_file, "--sigma", "0"],
                   ["--A", a_file, "--sigma", "nan"],
                   ["--A", a_file, "--sigma", "-1"],
@@ -237,7 +238,7 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["design", "--A", a, "--topology", path3,
-                         "--mode", "undirected", flag]) == 2, (a, flag)
+                         flag]) == 2, (a, flag)
         assert "InvalidInput" in capsys.readouterr().err, (a, flag)
     # a finite negative margin stays the library's domain error
     assert main(base + ["--A", rotation_file, "--margin", "-1"]) == 1
@@ -246,8 +247,8 @@ def test_design_invalid_sigma_or_matrix_is_usage_error(path_topology_file,
                         {"directed": True,
                          "weights": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]})
     for extra in (["--argument", "nan"], ["--argument", "inf"], []):
-        assert main(["design", "--A", rotation_file, "--topology", cycle,
-                     "--mode", "directed"] + extra) == 2, extra
+        assert main(["design", "--A", rotation_file, "--topology", cycle]
+                    + extra) == 2, extra
         assert "InvalidInput" in capsys.readouterr().err, extra
 
 
@@ -256,8 +257,7 @@ def test_design_poles_as_separate_negative_list(path_topology_file, tmp_path,
     # "--poles -2,-2" is the value of --poles, not an unknown option
     rotation_file = _write_json(tmp_path / "A_rot.json",
                                 [[0.0, 1.0], [-1.0, 0.0]])
-    base = ["design", "--A", rotation_file, "--topology", path_topology_file,
-            "--mode", "undirected"]
+    base = ["design", "--A", rotation_file, "--topology", path_topology_file]
     outputs = []
     for poles in (["--poles", "-2,-2"], ["--p", "-2,-2"],
                   ["--poles=-2,-2"]):
@@ -276,12 +276,9 @@ def test_wrong_shaped_matrix_file_is_usage_error(path_topology_file,
     b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
     k_file = _write_json(tmp_path / "K.json", [[1.0, 0.9]])
     h_file = _write_json(tmp_path / "H.json", np.eye(3).tolist())
-    for argv in (["design", "--A", wide, "--topology", path_topology_file,
-                  "--mode", "undirected"],
-                 ["dualize", "--direction", "gain-to-h", "--B", b_file,
-                  "--K", k_file, "--A", wide],
-                 ["dualize", "--direction", "h-to-gain", "--B", b_file,
-                  "--H", h_file]):
+    for argv in (["design", "--A", wide, "--topology", path_topology_file],
+                 ["dualize", "--B", b_file, "--K", k_file, "--A", wide],
+                 ["dualize", "--B", b_file, "--H", h_file]):
         assert main(argv) == 2, argv
         assert "DimensionMismatch" in capsys.readouterr().err, argv
 
@@ -294,8 +291,8 @@ def test_dualize_gain_to_h(tmp_path, capsys):
     b_file = _write_json(tmp_path / "B.json", fx["B"])
     k_file = _write_json(tmp_path / "K.json", fx["K"])
     a_file = _write_json(tmp_path / "A.json", fx["A"])
-    code = main(["dualize", "--direction", "gain-to-h", "--B", b_file,
-                 "--K", k_file, "--A", a_file, "--c", str(fx["c"])])
+    code = main(["dualize", "--B", b_file, "--K", k_file, "--A", a_file,
+                 "--c", str(fx["c"])])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert np.array_equal(report["H_paper"], fx["H6"])
@@ -306,8 +303,7 @@ def test_dualize_h_to_gain(tmp_path, capsys):
     fx = load_fixture("example3")
     b_file = _write_json(tmp_path / "B.json", fx["B"])
     h_file = _write_json(tmp_path / "H.json", fx["H6"])
-    code = main(["dualize", "--direction", "h-to-gain", "--B", b_file,
-                 "--H", h_file])
+    code = main(["dualize", "--B", b_file, "--H", h_file])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert np.abs(np.array(report["K"]) - np.array(fx["K"])).max() < 1e-12
@@ -317,8 +313,7 @@ def test_dualize_h_to_gain(tmp_path, capsys):
 def test_dualize_zero_gain_is_domain_error(tmp_path, capsys):
     b_file = _write_json(tmp_path / "B.json", [[1.0], [0.0]])
     h_file = _write_json(tmp_path / "H.json", [[0.0, 0.0], [1.0, 1.0]])
-    code = main(["dualize", "--direction", "h-to-gain", "--B", b_file,
-                 "--H", h_file])
+    code = main(["dualize", "--B", b_file, "--H", h_file])
     assert code == 1
     assert "ZeroGain" in capsys.readouterr().err
 
@@ -329,8 +324,7 @@ def test_dualize_rank_deficient_is_domain_error(tmp_path, capsys):
     for name, B in (("rank-1", [[1.0, 1.0], [1.0, 1.0]]),
                     ("subnormal", [[5e-324, 0.0], [0.0, 5e-324]])):
         b_file = _write_json(tmp_path / f"B_{name}.json", B)
-        code = main(["dualize", "--direction", "h-to-gain", "--B", b_file,
-                     "--H", h_file])
+        code = main(["dualize", "--B", b_file, "--H", h_file])
         assert code == 1, name
         assert "RankDeficient" in capsys.readouterr().err, name
 
@@ -348,8 +342,7 @@ def test_dualize_gain_not_fitting_b_is_usage_error(tmp_path, capsys):
             ("c_nan", [[1.0, 0.9]], ["--c", "nan"]),
             ("c_negative", [[1.0, 0.9]], ["--c", "-1"])):
         k_file = _write_json(tmp_path / f"K_{name}.json", K)
-        code = main(["dualize", "--direction", "gain-to-h", "--B", b_file,
-                     "--K", k_file] + extra)
+        code = main(["dualize", "--B", b_file, "--K", k_file] + extra)
         assert code == 2, name
         assert "InvalidInput" in capsys.readouterr().err, name
     # finite matrices whose H_paper, Krylov blocks or B^T B overflow
@@ -358,21 +351,44 @@ def test_dualize_gain_not_fitting_b_is_usage_error(tmp_path, capsys):
     eye = _write_json(tmp_path / "eye.json", [[1.0, 0.0], [0.0, 1.0]])
     column = _write_json(tmp_path / "column.json", [[1e200], [1e200]])
     for name, argv in (
-            ("H_paper", ["gain-to-h", "--B", big, "--K", big, "--A", big]),
-            ("krylov", ["gain-to-h", "--B", ones, "--K", eye, "--A", big]),
-            ("gram", ["h-to-gain", "--B", column, "--H", eye])):
+            ("H_paper", ["--B", big, "--K", big, "--A", big]),
+            ("krylov", ["--B", ones, "--K", eye, "--A", big]),
+            ("gram", ["--B", column, "--H", eye])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["dualize", "--direction"] + argv)
+            code = main(["dualize"] + argv)
         assert code == 2, name
         assert "InvalidInput" in capsys.readouterr().err, name
 
 
 def test_dualize_missing_matrix_is_usage_error(tmp_path, capsys):
     b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
-    for direction in ("gain-to-h", "h-to-gain"):
-        assert main(["dualize", "--direction", direction, "--B", b_file]) == 2
-        assert "InvalidInput" in capsys.readouterr().err, direction
+    assert _exit_code(["dualize", "--B", b_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: one of the arguments --K --H is required" in captured.err
+
+
+def test_input_the_command_would_ignore_is_usage_error(path_topology_file,
+                                                       tmp_path, capsys):
+    # each line once exited 0 and ignored part of its input: an --H beside
+    # --K, an --argument for an undirected topology, a --margin beside
+    # --poles
+    rotation_file = _write_json(tmp_path / "A_rot.json",
+                                [[0.0, 1.0], [-1.0, 0.0]])
+    b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
+    k_file = _write_json(tmp_path / "K.json", [[1.0, 0.9]])
+    h_file = _write_json(tmp_path / "H.json", {"not": "a matrix"})
+    design = ["design", "--A", rotation_file, "--topology", path_topology_file]
+    for argv, error in (
+            (["dualize", "--B", b_file, "--K", k_file, "--H", h_file],
+             "error: argument --H: not allowed with argument --K"),
+            (design + ["--argument", "150"], "InvalidInput: "),
+            (design + ["--poles=-2", "--margin", "7"],
+             "error: argument --margin: not allowed with argument --poles")):
+        assert _exit_code(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and error in captured.err, argv
 
 
 # ── reproduce ────────────────────────────────────────────────────────────────
@@ -464,10 +480,8 @@ def test_report_unwritable_out_is_usage_error(command, path_topology_file,
     one = _write_json(tmp_path / "one.json", [[1.0]])
     argv = {
         "spectrum": ["spectrum", "--topology", path_topology_file],
-        "design": ["design", "--A", one, "--topology", path_topology_file,
-                   "--mode", "undirected"],
-        "dualize": ["dualize", "--direction", "gain-to-h", "--B", one,
-                    "--K", one],
+        "design": ["design", "--A", one, "--topology", path_topology_file],
+        "dualize": ["dualize", "--B", one, "--K", one],
     }[command]
     assert main(argv + ["--out", str(blocker / "x")]) == 2
     captured = capsys.readouterr()
@@ -545,6 +559,27 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "reproduce" in proc.stdout
+
+
+def test_readme_command_line_matches_parser():
+    # each subcommand's README usage lines name exactly its options, and
+    # a positional's choices as written there
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = re.search(r"^## Command line\n\n```\n(.*?)^```$", fh.read(),
+                          re.MULTILINE | re.DOTALL).group(1)
+    usage = dict(re.findall(r"^netsync (\w+)(.*(?:\n .*)*)", block,
+                            re.MULTILINE))
+    parsers = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert set(usage) == set(parsers)
+    for name, parser in parsers.items():
+        options = {option for action in parser._actions
+                   for option in action.option_strings
+                   if option.startswith("--") and option != "--help"}
+        assert set(re.findall(r"--[\w-]+", usage[name])) == options, name
+        for action in parser._actions:
+            if not action.option_strings and action.choices:
+                assert "|".join(action.choices) in usage[name], name
 
 
 # ── generated input ──────────────────────────────────────────────────────────
@@ -640,20 +675,18 @@ def _argvs(draw):
         return [command] + file_flag("--topology", topology), files
     if command == "design":
         argv = [command] + file_flag("--topology", topology)
-        directed = files["topology.json"]["directed"]
-        argv += ["--mode", "directed" if directed else "undirected"]
         argv += file_flag("--A", _matrices(n, n))
-        argv += value_flags("--margin", "--sigma")
-        if directed:
+        argv += value_flags("--sigma")
+        if files["topology.json"]["directed"]:
             argv.append(f"--argument={draw(_FLAGS['--argument'])}")
-        if draw(st.booleans()):
+        if draw(st.booleans()):     # --poles and --margin exclude each other
             poles = draw(st.lists(_FLAGS["--poles"], min_size=1, max_size=n))
             argv.append("--poles=" + ",".join(poles))
+        else:
+            argv += value_flags("--margin")
         return argv, files
-    direction = draw(st.sampled_from(["gain-to-h", "h-to-gain"]))
-    argv = [command, "--direction", direction]
-    argv += file_flag("--B", _matrices(n, m))
-    argv += (file_flag("--K", _matrices(m, n)) if direction == "gain-to-h"
+    argv = [command] + file_flag("--B", _matrices(n, m))
+    argv += (file_flag("--K", _matrices(m, n)) if draw(st.booleans())
              else file_flag("--H", _matrices(n, n)))
     if draw(st.booleans()):
         argv += file_flag("--A", _matrices(n, n))

@@ -46,8 +46,8 @@ for name, payload in files.items():
         json.dump(payload, fh)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [netsync.cli.main(["spectrum", "--topology", path("path.json")]),
-             netsync.cli.main(["dualize", "--direction", "gain-to-h",
-                               "--B", path("B.json"), "--K", path("K.json")])]
+             netsync.cli.main(["dualize", "--B", path("B.json"),
+                               "--K", path("K.json")])]
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m.partition(".")[0] == "scipy")}))
 """
