@@ -58,7 +58,10 @@ __all__ = [
 
 _CONDITION_LIMIT = 1e12
 _HURWITZ_THRESHOLD = -1e-9  # strict negativity under floating point
-_PAIR_TOL = 1e-8            # conjugate-pair matching tolerance (relative)
+# Two eigenvalues of A are equal when they lie within this distance,
+# relative to max(1, max |lambda|).  Rounding splits a k x k Jordan block
+# by about eps**(1/k) * ||A||: 1.5e-8 for k = 2, 6e-6 for k = 3.
+_EQUAL_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -69,21 +72,22 @@ _PAIR_TOL = 1e-8            # conjugate-pair matching tolerance (relative)
 class ModalDecomposition:
     """Modal form of an isolated node dynamic A.
 
-    ``A = P @ modal_matrix @ P_inv`` with ``modal_matrix`` diagonal when A
-    is diagonalizable.  When A has a repeated eigenvalue without a full
-    eigenbasis, the decomposition falls back to a well-conditioned block
-    form: ``modal_matrix`` is block upper-triangular with one block per
-    eigenvalue cluster, and the clusters with a nontrivial nilpotent part
-    are listed in ``defective_blocks`` (as index tuples into the mode
-    order).  Designs must keep their modal entries constant on each
-    defective block.
+    ``A = P @ modal_matrix @ P_inv``.  Eigenvalues within
+    ``1e-3 * max(1, max |lambda|)`` of each other, directly or through a
+    chain, form one cluster.  When every cluster is a single eigenvalue
+    and the eigenvectors are well-conditioned, ``modal_matrix`` is
+    diagonal.  Otherwise it is block diagonal with one upper-triangular
+    block per cluster, and the clusters that keep a nilpotent part are
+    listed in ``defective_blocks`` (as index tuples into the mode order).
+    Designs must keep their modal entries constant on each defective
+    block.
 
     Attributes
     ----------
     P, P_inv : (n, n) complex
         Modal basis and its inverse.
     modal_matrix : (n, n) complex
-        Diagonal (or block upper-triangular) modal form of A.
+        Diagonal (or block diagonal) modal form of A.
     mode_eigenvalues : (n,) complex
         Diagonal of ``modal_matrix``.
     condition : float
@@ -109,6 +113,11 @@ class ModalDecomposition:
         return bool(self.defective_blocks)
 
 
+def _equal_tol(values: np.ndarray) -> float:
+    """The distance within which two of these eigenvalues are equal."""
+    return _EQUAL_TOL * max(1.0, float(np.abs(values).max()))
+
+
 def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     """Label each eigenvalue with the lowest index it chains to through
     steps of at most tol: the transitive closure of closeness, squared
@@ -119,95 +128,82 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     return reach.argmax(axis=1)
 
 
-def _block_modal_form(A: np.ndarray, cluster_tol: float):
-    """Schur-based block diagonalization grouping near-equal eigenvalues.
+def _block_modal_form(A: np.ndarray, tol: float):
+    """Schur-based block diagonalization, one block per cluster of
+    eigenvalues within tol (Bavely & Stewart, SIAM J. Numer. Anal. 16(2),
+    1979).
 
-    Returns (T, P, blocks): A = P T P^-1 with T block upper-triangular,
-    one block per eigenvalue cluster, and blocks a list of index ranges.
+    Returns (T, P, defective): A = P T P^-1 with T block diagonal, and
+    defective the index tuples of the blocks with a nilpotent part.
     """
     import scipy.linalg  # lazy: slowest import, and only this fallback uses it
+    lapack = scipy.linalg.lapack
     n = A.shape[0]
     try:
         T, Z = scipy.linalg.schur(A.astype(complex), output="complex")
     except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise EigensolverFailure(f"Schur decomposition failed: {exc}") from exc
 
-    trexc = scipy.linalg.lapack.ztrexc
-
     # Reorder so each eigenvalue cluster occupies contiguous positions,
     # clusters in order of first appearance on the Schur diagonal (a
     # cluster's label is its first index).
-    target = np.argsort(_cluster_labels(np.diag(T), cluster_tol),
-                        kind="stable")
+    labels = _cluster_labels(np.diag(T), tol)
+    target = np.argsort(labels, kind="stable")
     current = list(range(n))
     for dest in range(n):
         src = current.index(target[dest])
         if src != dest:
-            T, Z, info = trexc(T, Z, src + 1, dest + 1)
+            T, Z, info = lapack.ztrexc(T, Z, src + 1, dest + 1)
             if info != 0:
                 raise EigensolverFailure(f"Schur reordering failed (info={info})")
             current.insert(dest, current.pop(src))
+    cuts = [0, *(np.flatnonzero(np.diff(labels[target])) + 1), n]
 
-    labels = _cluster_labels(np.diag(T), cluster_tol)
-    cuts = [0, *(np.flatnonzero(np.diff(labels)) + 1), n]
-    blocks = [range(i, j) for i, j in zip(cuts[:-1], cuts[1:])]
-
-    # Kill the coupling between distinct clusters with Sylvester solves;
-    # the similarity [[I, X], [0, I]] zeroes block (bi, bj) exactly.
-    T = T.copy()
+    # Split each cluster off all the clusters after it: X solves the
+    # triangular Sylvester equation T11 X - X T22 = -T12, and the
+    # similarity [[I, X], [0, I]] zeroes T12 and leaves T11, T22 alone.
     S = np.eye(n, dtype=complex)
-    for bi in range(len(blocks) - 2, -1, -1):
-        for bj in range(bi + 1, len(blocks)):
-            ri, rj = blocks[bi], blocks[bj]
-            i0, i1 = ri.start, ri.stop
-            j0, j1 = rj.start, rj.stop
-            T12 = T[i0:i1, j0:j1]
-            if not np.abs(T12).max():
-                continue
-            X = scipy.linalg.solve_sylvester(
-                T[i0:i1, i0:i1], -T[j0:j1, j0:j1], -T12
-            )
-            step = np.eye(n, dtype=complex)
-            step[i0:i1, j0:j1] = X
-            step_inv = np.eye(n, dtype=complex)
-            step_inv[i0:i1, j0:j1] = -X
-            T = step_inv @ T @ step
-            S = S @ step
-            if not (np.isfinite(T).all() and np.isfinite(S).all()):
-                raise DefectiveMatrix("the block similarity overflows")
+    for i0, i1 in zip(cuts[:-2], cuts[1:-1]):
+        X, x_scale, _ = lapack.ztrsyl(T[i0:i1, i0:i1], T[i1:, i1:],
+                                      -T[i0:i1, i1:], isgn=-1)
+        T[i0:i1, i1:] = 0.0
+        S[:, i1:] += S[:, i0:i1] @ (X / x_scale)
+    if not np.isfinite(S).all():
+        raise DefectiveMatrix("the block similarity overflows")
 
-    # Zero out the decoupled blocks exactly (they are ~1e-16 after the
-    # similarity) and drop negligible nilpotent parts inside clusters.
+    # Drop negligible nilpotent parts inside clusters.
     scale = max(1.0, np.abs(np.diag(T)).max())
-    for bi, ri in enumerate(blocks):
-        for rj in blocks[bi + 1:]:
-            T[ri.start:ri.stop, rj.start:rj.stop] = 0.0
     defective = []
-    for ri in blocks:
-        sub = T[ri.start:ri.stop, ri.start:ri.stop]
-        off = sub - np.diag(np.diag(sub))
-        if np.abs(off).max(initial=0.0) <= 1e-10 * scale:
-            T[ri.start:ri.stop, ri.start:ri.stop] = np.diag(np.diag(sub))
-        elif len(ri) > 1:
-            defective.append(tuple(ri))
+    for i0, i1 in zip(cuts[:-1], cuts[1:]):
+        nilpotent = np.triu(T[i0:i1, i0:i1], 1)
+        if np.abs(nilpotent).max(initial=0.0) <= 1e-10 * scale:
+            T[i0:i1, i0:i1] -= nilpotent
+        else:
+            defective.append(tuple(range(i0, i1)))
     return T, Z @ S, defective
 
 
 def decompose(A) -> ModalDecomposition:
     """Modal decomposition of a square real (or complex) matrix.
 
-    Uses a plain eigendecomposition when the eigenvector matrix is
-    well-conditioned; otherwise falls back to a Schur-based block form
-    that groups numerically repeated eigenvalues, which stays exact for
-    matrices with nilpotent (non-diagonalizable) parts.
+    One rule decides which eigenvalues are equal: those within
+    ``1e-3 * max(1, max |lambda|)`` of each other, directly or through a
+    chain, form one cluster; conjugate modes are paired by the same rule.
+    The eigendecomposition is used when every cluster is a single
+    eigenvalue and the eigenvector matrix has a condition number below
+    1e12.  Otherwise the Schur form is reordered and split into one block
+    per cluster of its own diagonal, which stays exact for matrices with
+    nilpotent (non-diagonalizable) parts; close but distinct eigenvalues
+    then share a cluster, which designs treat like a Jordan block.
 
     Raises
     ------
     InvalidInput
         If A has a non-finite entry.
     DefectiveMatrix
-        If no modal basis with condition number below 1e12 exists (e.g.
-        nearly coincident but distinct eigenvalue clusters).
+        If the block form's basis has a condition number of 1e12 or more,
+        or overflows: distinct clusters, separated beyond the tolerance,
+        whose invariant subspaces are nearly parallel.
     EigensolverFailure
         If the underlying eigensolver does not converge.
     """
@@ -217,15 +213,16 @@ def decompose(A) -> ModalDecomposition:
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigendecomposition failed: {exc}") from exc
 
-    cond = np.linalg.cond(vecs)
-    if np.isfinite(cond) and cond < _CONDITION_LIMIT:
+    tol = _equal_tol(vals)
+    singletons = _cluster_labels(vals, tol).tolist() == list(range(vals.size))
+    cond = np.linalg.cond(vecs) if singletons else np.inf
+    if cond < _CONDITION_LIMIT:  # NaN fails too
         T, P, defective = np.diag(vals), vecs, ()
     else:
-        scale = max(1.0, float(np.abs(vals).max()))
         with np.errstate(over="ignore", invalid="ignore"):
-            T, P, defective = _block_modal_form(A, cluster_tol=1e-8 * scale)
+            T, P, defective = _block_modal_form(A, tol)
         cond = np.linalg.cond(P)
-        if not np.isfinite(cond) or cond >= _CONDITION_LIMIT:
+        if not cond < _CONDITION_LIMIT:
             raise DefectiveMatrix(
                 f"no well-conditioned modal basis (condition {cond:.3e})"
             )
@@ -245,7 +242,7 @@ def decompose(A) -> ModalDecomposition:
 
 @dataclass(frozen=True)
 class ModalCouplingSpec:
-    """Diagonal modal coupling entries plus the coupling strength.
+    """Diagonal modal coupling entries.
 
     ``entries[k]`` couples the k-th mode of the decomposition that the
     spec was designed against.  Entries on a conjugate mode pair must be
@@ -255,11 +252,9 @@ class ModalCouplingSpec:
     """
 
     entries: np.ndarray
-    sigma: float = 1.0
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex).reshape(-1)
-        _require_positive("sigma", self.sigma)
         _require_finite("modal coupling entries", e)
         if e.real.max(initial=-np.inf) > 1e-12:
             raise PreconditionViolation(
@@ -298,14 +293,13 @@ class CouplingMatrices:
 # ---------------------------------------------------------------------------
 
 def _conjugate_pairs(mode_eigenvalues: np.ndarray):
-    """The (plus, minus) conjugate pairs among the mode indices; the
-    other modes are real.
+    """The (plus, minus) conjugate pairs among the mode indices, matched
+    at the tolerance that clusters eigenvalues; the other modes are real.
 
     ``plus`` carries the positive-imaginary-part member of each pair.
     """
     vals = mode_eigenvalues
-    scale = max(1.0, float(np.abs(vals).max()))
-    tol = _PAIR_TOL * scale
+    tol = _equal_tol(vals)
     unpaired = [i for i in range(vals.size)]
     pairs = []
     while unpaired:
@@ -410,7 +404,7 @@ def design_undirected(decomp: ModalDecomposition, lambda2: float,
         )
     levels, _ = _real_levels(decomp, lam2.real, poles, margin, sigma)
     _check_defective_constancy(decomp, levels, "designed modal entries")
-    return ModalCouplingSpec(entries=levels.astype(complex), sigma=sigma)
+    return ModalCouplingSpec(entries=levels.astype(complex))
 
 
 def design_directed(decomp: ModalDecomposition, lambda2: complex,
@@ -463,7 +457,7 @@ def design_directed(decomp: ModalDecomposition, lambda2: complex,
             entries[i_plus] = modulus * np.exp(1j * argument)
             entries[i_minus] = np.conj(entries[i_plus])
     _check_defective_constancy(decomp, entries, "designed modal entries")
-    return ModalCouplingSpec(entries=entries, sigma=sigma)
+    return ModalCouplingSpec(entries=entries)
 
 
 def realize(spec: ModalCouplingSpec, decomp: ModalDecomposition) -> CouplingMatrices:

@@ -751,7 +751,6 @@ NAN = float("nan")
     lambda: component_settle_times(_scalar_consensus(), NAN),
     lambda: LinearNetworkSystem(A=np.zeros((1, 1)), H_eff=-np.eye(1),
                                 sigma=NAN, laplacian=PAIR_LAPLACIAN),
-    lambda: ModalCouplingSpec(entries=[-1.0], sigma=NAN),
     lambda: verify(np.zeros((1, 1)), -np.eye(1), NAN,
                    spectrum(PAIR_LAPLACIAN)),
     lambda: AgentModel(A=np.eye(2), B=np.array([[1.0], [-1.0]]), c=NAN),
@@ -763,7 +762,7 @@ NAN = float("nan")
     lambda: design_undirected(decompose(np.eye(2)), 1.0, sigma=0.0),
     lambda: design_undirected(decompose(np.eye(2)), 1.0, margin=np.inf),
 ], ids=["sync_error", "component_settle_times", "LinearNetworkSystem",
-        "ModalCouplingSpec", "verify", "AgentModel", "lambda2", "margin",
+        "verify", "AgentModel", "lambda2", "margin",
         "poles", "directed_lambda2", "design-sigma-zero",
         "design-margin-inf"])
 def test_scalar_checks_reject_nan(call):
@@ -834,8 +833,6 @@ def _empty_trajectory():
                         K=_with_nan((1, 1))), InvalidInput),
     (lambda: AgentModel(A=np.zeros((1, 1)), B=np.eye(1), K=np.eye(1),
                         c=np.inf), PreconditionViolation),
-    (lambda: ModalCouplingSpec(entries=[-1.0], sigma=np.inf),
-     PreconditionViolation),
     (lambda: ModalCouplingSpec(entries=[NAN]), InvalidInput),
     (lambda: ModalCouplingSpec(entries=[-np.inf]), InvalidInput),
     (lambda: CouplingMatrices(H_eff=[[NAN]]), InvalidInput),
@@ -858,7 +855,7 @@ def _empty_trajectory():
         "kappa-neg-inf", "Psi1-nan", "connection-nan",
         "connection-row-sum-overflows", "linear-x0-nan", "linear-x0-shape",
         "agents-x0-inf", "nonlinear-x0-nan", "agent-A-nan", "agent-B-inf",
-        "agent-K-nan", "agent-c-inf", "modal-sigma-inf", "modal-entry-nan",
+        "agent-K-nan", "agent-c-inf", "modal-entry-nan",
         "modal-entry-neg-inf", "coupling-H_eff-nan", "coupling-H_eff-inf",
         "decompose-A-nan", "verify-A-nan", "pseudo_inverse-nan",
         "gain_from_h-B-nan", "recovery_residual-K-nan",
