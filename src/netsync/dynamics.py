@@ -15,14 +15,14 @@ Three simulators, all classical fixed-step 4th-order Runge-Kutta
   connection matrix G (the chaotic three-oscillator probe lives here).
 
 The nonlinear simulator steps RK4 one state at a time, in Python floats
-for the designed three-oscillator probe.  The two linear simulators
-share a propagator instead: one RK4 step of the simulator's
-own right-hand side, taken from a basis, is the linear one-step map;
-rewritten in node-mean / disagreement coordinates (the synchronous and
-transverse modes) its powers advance the run a block of steps per
-matrix product.  The disagreement evolves in a closed block, so the
-cross-node spread the metrics read stays at its own scale when the
-common mode grows without bound.
+for every three-oscillator Rossler probe, whatever its coupling.  The
+two linear simulators share a propagator instead: one RK4 step of the
+simulator's own right-hand side, taken from a basis, is the linear
+one-step map; rewritten in node-mean / disagreement coordinates (the
+synchronous and transverse modes) its powers advance the run a block of
+steps per matrix product.  The disagreement evolves in a closed block,
+so the cross-node spread the metrics read stays at its own scale when
+the common mode grows without bound.
 
 A non-finite state truncates the trajectory at the last finite step and
 flags it; a divergent run still produces a synchronization report.
@@ -36,6 +36,7 @@ import numbers
 import os
 import shutil
 import signal
+import struct
 import sys
 import tempfile
 import warnings
@@ -570,49 +571,63 @@ def _make_nonlinear_rhs(sys: NonlinearNetworkSystem, x0: np.ndarray):
     return rhs
 
 
-def _designed_probe_coefficients(sys: NonlinearNetworkSystem,
-                                 x0: np.ndarray):
-    """``(a, b, c, 2 / kappa, Psi1, G)`` as Python floats, the matrices
-    as flat row-major lists, when sys is a probe of
-    :func:`build_three_oscillator` coupled by :func:`design_nonlinear_coupling`
-    over the Rossler Phi2 and x0 is (3, 3); else None."""
+def _probe_coefficients(sys: NonlinearNetworkSystem, initial: np.ndarray):
+    """``(a, b, c, G, sent)`` when sys is a probe of
+    :func:`build_three_oscillator` with real a, b and c and initial is
+    (3, 3), else None: a, b and c as Python floats, G as a flat row-major
+    list, and ``sent``, which maps the 9 floats of a state to the 9
+    floats ``M(x_j) x_j`` that the nodes send.  A coupling of
+    :func:`design_nonlinear_coupling` over the Rossler Phi2 sends its
+    closed form ``Psi1 x_j - (2/kappa)(0, 0, x_j z_j)``, since
+    ``Phi2(x) x = (0, 0, 2 x z)``; any other is called once per stage on
+    a fresh (3, 3) array, batched or per node as :func:`_batched_or_loop`
+    decides, so a callable that keeps its argument never sees it change."""
     f, m, G = sys.node_dynamics, sys.coupling_matrix_fn, sys.connection
     if not (isinstance(f, functools.partial) and f.func is _rossler_node
-            and isinstance(m, functools.partial)
+            and G.shape == initial.shape == (3, 3)
+            and all(isinstance(v, numbers.Real) for v in f.args)):
+        return None
+    if (isinstance(m, functools.partial)
             and m.func is _designed_coupling_matrix
             and m.args[0].Phi2 is _rossler_phi2
-            and m.args[0].Psi1.shape == G.shape == x0.shape == (3, 3)):
-        return None
-    spec = m.args[0]
-    scalars = f.args + (spec.kappa,)
-    if not all(isinstance(v, numbers.Real) for v in scalars):
-        return None
-    a, b, c, kappa = map(float, scalars)
-    return a, b, c, 2.0 / kappa, spec.Psi1.ravel().tolist(), G.ravel().tolist()
+            and m.args[0].Psi1.shape == (3, 3)):
+        p00, p01, p02, p10, p11, p12, p20, p21, p22 = (
+            m.args[0].Psi1.ravel().tolist())
+        k = 2.0 / float(m.args[0].kappa)
+
+        def sent(x0, y0, z0, x1, y1, z1, x2, y2, z2):
+            return (p00 * x0 + p01 * y0 + p02 * z0,
+                    p10 * x0 + p11 * y0 + p12 * z0,
+                    p20 * x0 + p21 * y0 + p22 * z0 - k * (x0 * z0),
+                    p00 * x1 + p01 * y1 + p02 * z1,
+                    p10 * x1 + p11 * y1 + p12 * z1,
+                    p20 * x1 + p21 * y1 + p22 * z1 - k * (x1 * z1),
+                    p00 * x2 + p01 * y2 + p02 * z2,
+                    p10 * x2 + p11 * y2 + p12 * z2,
+                    p20 * x2 + p21 * y2 + p22 * z2 - k * (x2 * z2))
+    else:
+        m_eval = _batched_or_loop(m, initial, (3, 3, 3))
+
+        def sent(*state):
+            X = np.array(state).reshape(3, 3)
+            return np.matmul(m_eval(X), X[:, :, None]).ravel().tolist()
+    return (*map(float, f.args), G.ravel().tolist(), sent)
 
 
-def _integrate_designed_probe(coefficients, initial: np.ndarray,
-                              times: np.ndarray) -> tuple:
-    """:func:`_integrate_rk4` of the designed three-oscillator probe, in
-    Python floats: the same grid, stages and truncation, and the closed
-    form ``dx_i = F(x_i) + sum_j G_ij (Psi1 x_j - (2/kappa)(0, 0, x_j z_j))``
-    of its right-hand side, since ``Phi2(x) x = (0, 0, 2 x z)``.  Faster
-    than numpy on 3x3 arrays; it rounds the coupling sums differently."""
-    a, b, c, k, P, G = coefficients
-    p00, p01, p02, p10, p11, p12, p20, p21, p22 = P
+@np.errstate(over="ignore", invalid="ignore")
+def _integrate_probe(coefficients, initial: np.ndarray,
+                     times: np.ndarray) -> tuple:
+    """:func:`_integrate_rk4` of a three-oscillator Rossler probe, in
+    Python floats: the same grid, stages and truncation, and the
+    right-hand side ``dx_i = F(x_i) + sum_j G_ij s_j`` over what the nodes
+    send, ``s = sent(x)`` of :func:`_probe_coefficients`.  Faster than
+    numpy on 3x3 arrays; it rounds the coupling sums differently."""
+    a, b, c, G, sent = coefficients
     g00, g01, g02, g10, g11, g12, g20, g21, g22 = G
 
     def rhs(x0, y0, z0, x1, y1, z1, x2, y2, z2):
-        # what each node sends, M(x_j) x_j
-        u0 = p00 * x0 + p01 * y0 + p02 * z0
-        v0 = p10 * x0 + p11 * y0 + p12 * z0
-        w0 = p20 * x0 + p21 * y0 + p22 * z0 - k * (x0 * z0)
-        u1 = p00 * x1 + p01 * y1 + p02 * z1
-        v1 = p10 * x1 + p11 * y1 + p12 * z1
-        w1 = p20 * x1 + p21 * y1 + p22 * z1 - k * (x1 * z1)
-        u2 = p00 * x2 + p01 * y2 + p02 * z2
-        v2 = p10 * x2 + p11 * y2 + p12 * z2
-        w2 = p20 * x2 + p21 * y2 + p22 * z2 - k * (x2 * z2)
+        u0, v0, w0, u1, v1, w1, u2, v2, w2 = sent(
+            x0, y0, z0, x1, y1, z1, x2, y2, z2)
         return (g00 * u0 + g01 * u1 + g02 * u2 - (y0 + z0),
                 g00 * v0 + g01 * v1 + g02 * v2 + (x0 + a * y0),
                 g00 * w0 + g01 * w1 + g02 * w2 + (b + z0 * (x0 - c)),
@@ -628,8 +643,9 @@ def _integrate_designed_probe(coefficients, initial: np.ndarray,
     out = np.empty((times.shape[0], 3, 3))
     out[0] = initial
     record = memoryview(out.reshape(-1))
+    put = struct.Struct("9d").pack_into     # sample k at byte 72 k
     s0, s1, s2, s3, s4, s5, s6, s7, s8 = initial.ravel().tolist()
-    for i in range(9, record.shape[0], 9):
+    for k in range(1, times.shape[0]):
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = rhs(
             s0, s1, s2, s3, s4, s5, s6, s7, s8)
         b0, b1, b2, b3, b4, b5, b6, b7, b8 = rhs(
@@ -655,16 +671,8 @@ def _integrate_designed_probe(coefficients, initial: np.ndarray,
         if (not math.isfinite(s0 + s1 + s2 + s3 + s4 + s5 + s6 + s7 + s8)
                 and not all(map(math.isfinite, (s0, s1, s2, s3, s4, s5, s6,
                                                 s7, s8)))):
-            return times[:i // 9].copy(), out[:i // 9].copy(), True
-        record[i] = s0
-        record[i + 1] = s1
-        record[i + 2] = s2
-        record[i + 3] = s3
-        record[i + 4] = s4
-        record[i + 5] = s5
-        record[i + 6] = s6
-        record[i + 7] = s7
-        record[i + 8] = s8
+            return times[:k].copy(), out[:k].copy(), True
+        put(record, 72 * k, s0, s1, s2, s3, s4, s5, s6, s7, s8)
     return times, out, False
 
 
@@ -673,16 +681,17 @@ def simulate_nonlinear(sys: NonlinearNetworkSystem, x0, t_end: float,
     """Integrate dx_i/dt = F(x_i) + sum_j G_ij M(x_j) x_j with fixed-step
     RK4.  Deterministic for fixed inputs; divergence truncates and flags.
 
-    The probe that :func:`build_three_oscillator` builds with a coupling
-    of :func:`design_nonlinear_coupling` over the Phi2 of
-    :func:`rossler_jacobian_parts` steps in Python floats
-    (:func:`_integrate_designed_probe`); every other system steps its
-    callables on numpy arrays."""
+    A probe that :func:`build_three_oscillator` builds with real a, b and
+    c steps in Python floats (:func:`_integrate_probe`), whatever its
+    coupling: the coupling callable is called once per stage, or its
+    closed form used when it is :func:`design_nonlinear_coupling` over
+    the Phi2 of :func:`rossler_jacobian_parts`.  Every other system steps
+    its callables on numpy arrays."""
     x0 = _check_x0(x0, sys.n_nodes)
     times = _time_grid(t_end, dt)
-    coefficients = _designed_probe_coefficients(sys, x0)
+    coefficients = _probe_coefficients(sys, x0)
     if coefficients is not None:
-        return Trajectory(*_integrate_designed_probe(coefficients, x0, times))
+        return Trajectory(*_integrate_probe(coefficients, x0, times))
     rhs = _make_nonlinear_rhs(sys, x0)
     return Trajectory(*_integrate_rk4(rhs, x0, times))
 

@@ -30,10 +30,11 @@
     identical to 1e-12 over 10^4 steps in both linear simulators.
 
 Run ``pytest -s tests/test_acceptance.py`` for one PASS/FAIL line per
-criterion.  The six chaotic runs over a 100 s horizon take most of a
-94-105 s suite run on a shared 2-vCPU VM.  The four selector-baseline runs
-took 7-10 s each at dt = 1e-3 and 14-19 s each at dt = 5e-4 there; the
-two designed runs step in Python floats and took 1.0 s and 1.7 s.
+criterion.  The six chaotic runs over a 100 s horizon take most of this
+file's 38 s on a shared 2-vCPU VM (criteria 10 and 9 set up in 22 s and
+14 s).  All six step the same Python-float kernel; there the four
+selector-baseline runs took 4.0-5.7 s each at dt = 1e-3 and 8.1-8.7 s
+each at dt = 5e-4, and the two designed runs 1.4 s and 2.0 s.
 """
 
 from contextlib import contextmanager

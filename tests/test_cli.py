@@ -409,13 +409,16 @@ def test_reproduce_example1_writes_artifacts(tmp_path, capsys):
     assert report["converged"] is True
 
 
-def test_reproduce_determinism_byte_identical(tmp_path):
+# the selector baseline steps the float kernel through its coupling callable
+@pytest.mark.parametrize("args, scenario", [
+    (["example4", "--t-end", "30.0"], "example4"),
+    (["rossler", "--baseline", "--t-end", "5"], "rossler-baseline")],
+    ids=["example4", "rossler-baseline"])
+def test_reproduce_determinism_byte_identical(tmp_path, args, scenario):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["reproduce", "example4", "--t-end", "30.0",
-                 "--out", str(out_a)]) == 0
-    assert main(["reproduce", "example4", "--t-end", "30.0",
-                 "--out", str(out_b)]) == 0
-    dir_a, dir_b = out_a / "example4", out_b / "example4"
+    assert main(["reproduce", *args, "--out", str(out_a)]) == 0
+    assert main(["reproduce", *args, "--out", str(out_b)]) == 0
+    dir_a, dir_b = out_a / scenario, out_b / scenario
     names = sorted(p.name for p in dir_a.iterdir())
     assert names == sorted(p.name for p in dir_b.iterdir())
     for name in names:

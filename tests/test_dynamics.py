@@ -17,12 +17,16 @@ Covers:
   - the linear propagator against a per-step RK4 loop, its recorded
     spread, truncation inside a block and inside a group of blocks, and
     example3's verdict at a horizon where the raw states reach 1e15
-  - the nonlinear simulator bit for bit against a per-step RK4 loop
-    (designed, selector, random zero-row-sum and per-node couplings),
-    and a finite state whose sum overflows running to the end
-  - the designed probe's float kernel: taken by that probe alone, bit
-    for bit against a Python-float RK4 of its closed form, within
-    1e-12 relative of the numpy path, and diverging at the same step
+  - the nonlinear simulator's numpy path bit for bit against a per-step
+    RK4 loop (designed, selector, random zero-row-sum and per-node
+    couplings), and a finite state whose sum overflows running to the end
+  - the three-oscillator probe's float kernel: taken by every probe of
+    build_three_oscillator with real parameters, bit for bit against a
+    Python-float RK4 under the designed closed form, the fixture
+    selector, a dense constant and a per-node coupling, within 1e-12
+    relative of the numpy path for both fixture couplings, diverging at
+    the same step, handing the coupling a fresh array at every stage and
+    passing its exception on unchanged
   - time-grid validation, NaN in the positive-scalar checks, non-finite
     inputs rejected with no warning (also by the design and duality
     functions), malformed and empty trajectories, an x0 of the wrong
@@ -466,14 +470,11 @@ def _scalar_rossler(state):
 
 def _nonlinear_systems(fx):
     """Rossler nodes (a = b = 0.2, c = 7) under the designed and selector
-    couplings, on a random zero-row-sum G, and through the per-node loop."""
+    couplings, on a random zero-row-sum G, and through the per-node loop;
+    the bare vector field keeps each on the numpy path."""
     eps, delta = 0.3, fx["delta"]
     designed = designed_rossler_coupling(eps, fx)
     selector = np.array(fx["selector_coupling"], dtype=float)
-
-    def selector_coupling(state):
-        return np.broadcast_to(selector, np.shape(state)[:-1]
-                               + selector.shape).copy()
 
     def scalar_selector(state):
         float(state[0])         # rejects a stack of states: per-node loop
@@ -483,10 +484,11 @@ def _nonlinear_systems(fx):
     G -= np.diag(G.sum(axis=1))
     probe = build_three_oscillator(eps, delta, designed)
     return {
-        # the bare vector field keeps this coupling on the numpy path
         "designed": NonlinearNetworkSystem(rossler_vector_field, designed,
                                            probe.connection),
-        "selector": build_three_oscillator(eps, delta, selector_coupling),
+        "selector": NonlinearNetworkSystem(
+            rossler_vector_field, _constant_coupling(selector),
+            probe.connection),
         "random-G": NonlinearNetworkSystem(
             node_dynamics=rossler_vector_field, coupling_matrix_fn=designed,
             connection=G),
@@ -519,32 +521,105 @@ def test_nonlinear_simulator_equals_per_step_rk4(case):
         assert np.array_equal(traj.states, _rk4_loop(rhs, x0, 300, dt)), dt
 
 
-def _float_probe_rk4(a, b, c, kappa, Psi1, G, x0, steps, dt):
-    """Reference for the designed probe: RK4 in Python floats of
-    dx_i = F(x_i) + sum_j G_ij (Psi1 x_j - (2/kappa)(0, 0, x_j z_j))."""
-    P, G, k = Psi1.tolist(), G.tolist(), 2.0 / kappa
+def _float_probe_rk4(a, b, c, sent, G, x0, steps, dt):
+    """Reference for the probe kernel: RK4 in Python floats of
+    dx_i = F(x_i) + sum_j G_ij s_j, where s = sent(x) maps the 9 floats
+    of a state to the 9 floats M(x_j) x_j that the nodes send."""
+    G = G.tolist()
 
     def rhs(X):
-        nodes = [X[3 * j:3 * j + 3] for j in range(3)]
-        sent = [[P[r][0] * x + P[r][1] * y + P[r][2] * z
-                 - (k * (x * z) if r == 2 else 0.0) for r in range(3)]
-                for x, y, z in nodes]
-        return [sum(G[i][j] * sent[j][r] for j in range(3)) + f
-                for i, (x, y, z) in enumerate(nodes)
+        s = sent(X)
+        sent_by = [s[3 * j:3 * j + 3] for j in range(3)]
+        return [sum(G[i][j] * sent_by[j][r] for j in range(3)) + f
+                for i, (x, y, z) in enumerate(zip(X[::3], X[1::3], X[2::3]))
                 for r, f in enumerate((-(y + z), x + a * y,
                                        b + z * (x - c)))]
 
     h, sixth = 0.5 * dt, dt / 6.0
     X, out = x0.ravel().tolist(), [x0.ravel().tolist()]
-    for _ in range(steps):
-        k1 = rhs(X)
-        k2 = rhs([x + h * d for x, d in zip(X, k1)])
-        k3 = rhs([x + h * d for x, d in zip(X, k2)])
-        k4 = rhs([x + dt * d for x, d in zip(X, k3)])
-        X = [x + sixth * (p + 2.0 * q + 2.0 * r + s)
-             for x, p, q, r, s in zip(X, k1, k2, k3, k4)]
-        out.append(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1 = rhs(X)
+            k2 = rhs([x + h * d for x, d in zip(X, k1)])
+            k3 = rhs([x + h * d for x, d in zip(X, k2)])
+            k4 = rhs([x + dt * d for x, d in zip(X, k3)])
+            X = [x + sixth * (p + 2.0 * q + 2.0 * r + s)
+                 for x, p, q, r, s in zip(X, k1, k2, k3, k4)]
+            out.append(X)
     return np.array(out).reshape(-1, 3, 3)
+
+
+def _closed_form_sent(Psi1, kappa):
+    """What the designed coupling's nodes send, Psi1 x_j -
+    (2/kappa)(0, 0, x_j z_j), since Phi2(x) x = (0, 0, 2 x z)."""
+    P, k = Psi1.tolist(), 2.0 / kappa
+
+    def sent(X):
+        return [P[r][0] * x + P[r][1] * y + P[r][2] * z
+                - (k * (x * z) if r == 2 else 0.0)
+                for x, y, z in zip(X[::3], X[1::3], X[2::3]) for r in range(3)]
+
+    return sent
+
+
+def _matmul_sent(M):
+    """What the nodes send under the coupling M, one node at a time:
+    np.matmul of the stacked M(x_j) and x_j, as the kernel forms it."""
+    def sent(X):
+        X = np.array(X).reshape(3, 3)
+        return np.matmul(np.array([M(x) for x in X]),
+                         X[:, :, None]).ravel().tolist()
+
+    return sent
+
+
+def _constant_coupling(matrix):
+    def coupling(state):
+        return np.broadcast_to(matrix, np.shape(state)[:-1] + (3, 3)).copy()
+
+    return coupling
+
+
+def _state_dependent_per_node(state):
+    x, y, z = (float(v) for v in state)     # rejects a stack of states
+    return np.array([[-1.0, 0.2 * y, 0.0],
+                     [0.0, -1.0, 0.1 * x],
+                     [0.5 * z, 0.0, -1.0]])
+
+
+# each coupling at dt = 0.015 and at a dt where its run overflows
+@pytest.mark.parametrize("case, dt", [
+    ("selector", 0.015), ("selector", 0.25), ("dense", 0.015),
+    ("dense", 0.03), ("per-node", 0.015), ("per-node", 0.03)])
+def test_probe_kernel_equals_float_rk4(case, dt):
+    # non-default a, b, c exercise every coefficient of the kernel's field
+    a, b, c = 0.3, 0.1, 5.5
+    coupling = {
+        "selector": _constant_coupling(
+            np.array(load_fixture("rossler")["selector_coupling"])),
+        "dense": _constant_coupling(
+            np.random.default_rng(42).normal(0.0, 1.0, (3, 3))),
+        "per-node": _state_dependent_per_node,
+    }[case]
+    x0 = np.ones((3, 3)) + np.random.default_rng(44).uniform(-0.5, 0.5,
+                                                             (3, 3))
+    traj = _assert_kernel_equals_float_rk4(
+        build_three_oscillator(0.4, 0.9, coupling, a=a, b=b, c=c),
+        _matmul_sent(coupling), x0, dt)
+    assert traj.diverged == (dt != 0.015)
+
+
+def _assert_kernel_equals_float_rk4(probe, sent, x0, dt):
+    """300 steps of the probe from x0 equal the reference bit for bit, up
+    to where the reference turns non-finite."""
+    a, b, c = probe.node_dynamics.args
+    traj = simulate_nonlinear(probe, x0, 300 * dt, dt)
+    ref = _float_probe_rk4(a, b, c, sent, probe.connection, x0, 300, dt)
+    last = traj.times.shape[0]
+    assert np.array_equal(traj.states, ref[:last])
+    assert traj.diverged == (last < 301)
+    assert traj.diverged == (not np.isfinite(ref[min(last, 300)]).all())
+    return traj
 
 
 @pytest.mark.parametrize("dt", [0.015, 0.02])
@@ -561,47 +636,51 @@ def test_designed_probe_equals_float_rk4_of_closed_form(dt):
         Phi1=Phi1, Phi2=Phi2, Psi1=Psi1, kappa=kappa))
     probe = build_three_oscillator(0.4, 0.9, M, a=a, b=b, c=c)
     x0 = np.ones((3, 3)) + rng.uniform(-0.5, 0.5, (3, 3))
-    traj = simulate_nonlinear(probe, x0, 300 * dt, dt)
-    ref = _float_probe_rk4(a, b, c, kappa, Psi1, probe.connection, x0,
-                           300, dt)
-    last = traj.times.shape[0]
-    assert traj.diverged == (dt == 0.02) == (last < 301)
-    assert np.array_equal(traj.states, ref[:last])
-    assert traj.diverged == (not np.isfinite(ref[min(last, 300)]).all())
+    traj = _assert_kernel_equals_float_rk4(
+        probe, _closed_form_sent(Psi1, kappa), x0, dt)
+    assert traj.diverged == (dt == 0.02)
 
 
-def _probe_pair(eps):
-    """The designed probe of the ``rossler`` fixture, once as
-    build_three_oscillator builds it and once with the bare vector field,
-    which keeps it on the numpy path."""
+def _probe_pair(eps, baseline=False):
+    """The probe of the ``rossler`` fixture under its designed coupling,
+    or its selector when baseline, once as build_three_oscillator builds
+    it and once with the bare vector field, which keeps it on the numpy
+    path."""
     fx = load_fixture("rossler")
-    probe = build_three_oscillator(eps, fx["delta"],
-                                   designed_rossler_coupling(eps, fx))
+    coupling = (_constant_coupling(np.array(fx["selector_coupling"]))
+                if baseline else designed_rossler_coupling(eps, fx))
+    probe = build_three_oscillator(eps, fx["delta"], coupling)
     return probe, NonlinearNetworkSystem(
         rossler_vector_field, probe.coupling_matrix_fn, probe.connection)
 
 
-def test_designed_probe_path_selection(monkeypatch):
-    # only the probe of build_three_oscillator with the library's designed
-    # coupling over the Rossler Phi2 takes the float kernel
+def test_probe_kernel_path_selection(monkeypatch):
+    # every probe of build_three_oscillator with real a, b and c takes the
+    # float kernel, whatever its coupling; the bare vector field and an
+    # array-valued parameter stay on numpy
     calls = []
-    kernel = dynamics._integrate_designed_probe
-    monkeypatch.setattr(dynamics, "_integrate_designed_probe",
+    kernel = dynamics._integrate_probe
+    monkeypatch.setattr(dynamics, "_integrate_probe",
                         lambda *args: calls.append(args) or kernel(*args))
     Phi1, Phi2 = rossler_jacobian_parts()
     designed, copied_phi2 = (design_nonlinear_coupling(NonlinearCouplingSpec(
         Phi1=Phi1, Phi2=phi2, Psi1=5.0 * np.eye(3), kappa=-0.3))
         for phi2 in (Phi2, lambda s: Phi2(s)))
-    selector = np.array(load_fixture("rossler")["selector_coupling"])
+    selector = _constant_coupling(
+        np.array(load_fixture("rossler")["selector_coupling"]))
     probe = build_three_oscillator(0.3, 1.0, designed)
     expected = [
         (probe, 1),
+        (build_three_oscillator(0.3, 1.0, copied_phi2), 1),
+        (build_three_oscillator(0.3, 1.0, selector), 1),
+        (build_three_oscillator(0.3, 1.0, _state_dependent_per_node), 1),
+        (build_three_oscillator(0.3, 1.0, selector, a=np.float64(0.2)), 1),
         (NonlinearNetworkSystem(rossler_vector_field, designed,
                                 probe.connection), 0),
-        (build_three_oscillator(0.3, 1.0, copied_phi2), 0),
-        (build_three_oscillator(0.3, 1.0, lambda s: np.broadcast_to(
-            selector, np.shape(s)[:-1] + (3, 3))), 0),
+        (NonlinearNetworkSystem(rossler_vector_field, selector,
+                                probe.connection), 0),
         (build_three_oscillator(0.3, 1.0, designed, a=np.array(0.2)), 0),
+        (build_three_oscillator(0.3, 1.0, selector, a=np.array(0.2)), 0),
     ]
     x0 = np.ones((3, 3))
     for sys, taken in expected:
@@ -610,9 +689,7 @@ def test_designed_probe_path_selection(monkeypatch):
         assert len(calls) == taken, sys
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.3, 3.0])
-def test_designed_probe_kernel_matches_numpy_path(eps):
-    probe, plain = _probe_pair(eps)
+def _assert_kernel_matches_numpy_path(probe, plain):
     fx = load_fixture("rossler")
     x0 = (np.array(fx["initial_center"], dtype=float)
           + np.random.default_rng(33).uniform(-1.0, 1.0, (3, 3)))
@@ -624,9 +701,18 @@ def test_designed_probe_kernel_matches_numpy_path(eps):
             <= 1e-12 * np.maximum(1.0, np.abs(slow.states))).all()
 
 
-def test_designed_probe_diverges_at_the_same_step_on_both_paths():
+@pytest.mark.parametrize("eps", [0.1, 0.3, 3.0])
+def test_designed_probe_kernel_matches_numpy_path(eps):
+    _assert_kernel_matches_numpy_path(*_probe_pair(eps))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 3.0])
+def test_selector_probe_kernel_matches_numpy_path(eps):
+    _assert_kernel_matches_numpy_path(*_probe_pair(eps, baseline=True))
+
+
+def _assert_diverges_at_the_same_step_on_both_paths(probe, plain):
     # at dt = 0.5 the probe overflows within a few steps
-    probe, plain = _probe_pair(load_fixture("rossler")["eps_weak"])
     x0 = np.ones((3, 3)) + np.random.default_rng(34).uniform(-0.5, 0.5, (3, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -636,6 +722,56 @@ def test_designed_probe_diverges_at_the_same_step_on_both_paths():
     assert fast.times.shape[0] < 11
     assert np.array_equal(fast.times, slow.times)
     assert np.isfinite(fast.states).all()
+
+
+def test_designed_probe_diverges_at_the_same_step_on_both_paths():
+    _assert_diverges_at_the_same_step_on_both_paths(
+        *_probe_pair(load_fixture("rossler")["eps_weak"]))
+
+
+def test_selector_probe_diverges_at_the_same_step_on_both_paths():
+    _assert_diverges_at_the_same_step_on_both_paths(
+        *_probe_pair(load_fixture("rossler")["eps_weak"], baseline=True))
+
+
+def test_probe_kernel_hands_coupling_a_fresh_state():
+    # a coupling that keeps its argument never sees it change: each stage
+    # gets an array of its own
+    kept = []
+
+    def keeping(state):
+        kept.append((state, np.array(state)))
+        return _constant_coupling(-np.eye(3))(state)
+
+    x0 = np.ones((3, 3)) + np.random.default_rng(35).uniform(-0.5, 0.5, (3, 3))
+    simulate_nonlinear(build_three_oscillator(0.3, 1.0, keeping), x0, 0.01,
+                       1e-3)
+    # _batched_or_loop's probe (once batched, once per node), then 4 per step
+    assert len(kept) == 4 + 4 * 10
+    assert len({id(state) for state, _ in kept}) == len(kept)
+    assert all(np.array_equal(state, copy) for state, copy in kept)
+
+
+class _CouplingFailure(Exception):
+    pass
+
+
+def test_probe_kernel_propagates_coupling_exception():
+    # a coupling that raises mid-run ends the run with its own exception
+    failure = _CouplingFailure("coupling failed")
+    calls = []
+
+    def failing(state):
+        calls.append(None)
+        if len(calls) > 20:
+            raise failure
+        return _constant_coupling(-np.eye(3))(state)
+
+    with pytest.raises(_CouplingFailure) as raised:
+        simulate_nonlinear(build_three_oscillator(0.3, 1.0, failing),
+                           np.ones((3, 3)), 1.0, 1e-3)
+    assert raised.value is failure
+    assert len(calls) == 21
 
 
 def test_finite_state_with_overflowing_sum_is_not_diverged():
