@@ -83,12 +83,6 @@ def _load_matrix(path) -> np.ndarray:
     return m
 
 
-def _require_positive_flag(flag: str, value) -> None:
-    """Reject a numeric flag that is not finite and positive."""
-    if not (np.isfinite(value) and value > 0.0):
-        raise InvalidInput(f"{flag} must be positive and finite")
-
-
 def _emit(payload: dict, out_dir, filename: str) -> None:
     text = scenarios.dump_json(payload)
     if out_dir is None:
@@ -134,7 +128,8 @@ def _parse_poles(text, n: int):
 
 
 def _cmd_design(args) -> int:
-    _require_positive_flag("--sigma", args.sigma)
+    if not (np.isfinite(args.sigma) and args.sigma > 0.0):
+        raise InvalidInput("--sigma must be positive and finite")
     if not np.isfinite(args.margin):
         raise InvalidInput("--margin must be finite")
     if args.argument is not None and not np.isfinite(args.argument):
@@ -172,23 +167,17 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
-    _require_positive_flag("--c", args.c)
     B = _load_matrix(args.B)
-    payload: dict = {"B": B.tolist(), "c": args.c}
     if args.K is not None:
         K = _load_matrix(args.K)
-        if K.shape != (B.shape[1], B.shape[0]):
-            raise InvalidInput(
-                f"K must be {B.shape[1]} x {B.shape[0]} to fit B "
-                f"{B.shape[0]} x {B.shape[1]}, got {K.shape[0]} x {K.shape[1]}")
         H_paper = h_from_gain(B, K)
         residual = 0.0
     else:
         H_paper = _load_matrix(args.H)
         K = gain_from_h(B, H_paper)
         residual = recovery_residual(B, H_paper, K)
-    payload.update({"K": K.tolist(), "H_paper": H_paper.tolist(),
-                    "H_eff": (-H_paper).tolist(), "residual": residual})
+    payload = {"B": B.tolist(), "K": K.tolist(), "H_paper": H_paper.tolist(),
+               "H_eff": (-H_paper).tolist(), "residual": residual}
     if args.H is not None:
         payload["pseudo_inverse"] = pseudo_inverse(B).tolist()
     if args.A is not None:
@@ -203,21 +192,17 @@ def _cmd_dualize(args) -> int:
 def _cmd_reproduce(args) -> int:
     if args.seed < 0:
         raise InvalidInput("--seed must be a nonnegative integer")
-    if args.baseline and args.name != "rossler":
-        raise InvalidInput("--baseline applies to rossler only")
-    if args.name == "all":
-        runs = ([(name, {}) for name in scenarios.SCENARIO_NAMES]
-                + [("rossler", {"baseline": True})])
-    else:
-        runs = [(args.name, {"baseline": True} if args.baseline else {})]
-
+    names = scenarios.SCENARIOS if args.name == "all" else [args.name]
     overrides = {key: value for key, value in
                  (("t_end", args.t_end), ("dt", args.dt)) if value is not None}
 
     all_ok = True
-    for name, kwargs in runs:
-        runner = getattr(scenarios, f"run_{name}")
-        result = runner(seed=args.seed, **overrides, **kwargs)
+    for name in names:
+        runner, kwargs = scenarios.SCENARIOS[name]
+        # looked up per run, so a runner wrapped after import (perfbench's
+        # tracer, a test's stub) is the one that runs
+        result = getattr(scenarios, f"run_{runner}")(
+            seed=args.seed, **overrides, **kwargs)
         try:
             written = scenarios.write_artifacts(result, args.out)
         except OSError as exc:
@@ -264,15 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     given.add_argument("--H", default=None, help="inner coupling matrix JSON file")
     p.add_argument("--A", default=None,
                    help="dynamics matrix JSON file (adds the controllability gate)")
-    p.add_argument("--c", type=float, default=1.0, help="coupling strength")
     p.add_argument("--out", default=None, help="output directory (default: stdout)")
     p.set_defaults(func=_cmd_dualize)
 
     p = sub.add_parser("reproduce", help="run a bundled reference scenario")
-    p.add_argument("name", choices=scenarios.SCENARIO_NAMES + ("all",))
-    p.add_argument("--baseline", action="store_true",
-                   help="rossler only: constant selector coupling instead of "
-                        "the state-dependent design")
+    p.add_argument("name", choices=[*scenarios.SCENARIOS, "all"])
     p.add_argument("--seed", type=int, default=scenarios.DEFAULT_SEED)
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)

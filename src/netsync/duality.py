@@ -49,10 +49,16 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return M
 
 
-def _as_gain(K) -> np.ndarray:
-    """A gain matrix; a flat K is one row."""
+def _as_gain(K, B: np.ndarray) -> np.ndarray:
+    """A gain matrix that fits B: m x n for an n x m B, else
+    DimensionMismatch; a flat K is one row."""
     K = np.asarray(K, dtype=float)
-    return K.reshape(1, -1) if K.ndim == 1 else K
+    K = K.reshape(1, -1) if K.ndim == 1 else K
+    if K.shape != B.shape[::-1]:
+        raise DimensionMismatch(
+            f"K must be {B.shape[1]} x {B.shape[0]} to fit B "
+            f"{B.shape[0]} x {B.shape[1]}, got shape {K.shape}")
+    return K
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,7 @@ class AgentModel:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         if self.K is not None:
-            K = _as_gain(self.K)
-            if K.shape != (B.shape[1], A.shape[0]):
-                raise DimensionMismatch(
-                    f"K must be {B.shape[1]} x {A.shape[0]}, got {K.shape}"
-                )
+            K = _as_gain(self.K, B)
             _require_finite("K", K)
             object.__setattr__(self, "K", K)
 
@@ -94,15 +96,12 @@ def h_from_gain(B, K) -> np.ndarray:
     """Inner coupling matrix (connection-matrix convention) from a gain.
 
     Returns ``H_paper = -B @ K``; the Laplacian-form coupling is its
-    negation, ``H_eff = B @ K``.  Raises :class:`InvalidInput` when the
+    negation, ``H_eff = B @ K``.  Raises :class:`DimensionMismatch`
+    unless K is m x n for an n x m B, and :class:`InvalidInput` when the
     product is not finite.
     """
     B = _as_matrix(B, "B")
-    K = _as_gain(K)
-    if K.shape[0] != B.shape[1]:
-        raise DimensionMismatch(
-            f"K has {K.shape[0]} rows but B has {B.shape[1]} columns"
-        )
+    K = _as_gain(K, B)
     with np.errstate(over="ignore", invalid="ignore"):
         H = -B @ K
     _require_finite("B @ K", H)
@@ -176,10 +175,9 @@ def recovery_residual(B, H_paper, K) -> float:
     Raises :class:`InvalidInput` when it is not finite."""
     B = _as_matrix(B, "B")
     H = _as_matrix(H_paper, "H_paper")
-    K = _as_gain(K)
-    if H.shape != (B.shape[0],) * 2 or K.shape != B.shape[::-1]:
-        raise DimensionMismatch(
-            f"H_paper {H.shape} and K {K.shape} do not fit B {B.shape}")
+    K = _as_gain(K, B)
+    if H.shape != (B.shape[0],) * 2:
+        raise DimensionMismatch(f"H_paper {H.shape} does not fit B {B.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(H + B @ K).max(initial=0.0)
     _require_finite("H_paper + B K", residual)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import shutil
 import signal
@@ -387,15 +386,24 @@ def rossler_vector_field(state, a: float = 0.2, b: float = 0.2,
     """Rossler flow (dx, dy, dz) = (-(y+z), x + a*y, b + z*(x-c)).
 
     Broadcasts over leading axes: an (N, 3) stack of node states maps to
-    (N, 3) derivatives.
+    (N, 3) derivatives; a last axis not of length 3 is a DimensionMismatch.
     """
-    state = np.asarray(state, dtype=float)
+    state = _rossler_state(state)
     x, y, z = state[..., 0], state[..., 1], state[..., 2]
     out = np.empty(state.shape[:-1] + (3,))
     out[..., 0] = -(y + z)
     out[..., 1] = x + a * y
     out[..., 2] = b + z * (x - c)
     return out
+
+
+def _rossler_state(state) -> np.ndarray:
+    """state as a float array whose last axis holds x, y and z."""
+    state = np.asarray(state, dtype=float)
+    if state.shape[-1:] != (3,):
+        raise DimensionMismatch(
+            f"a Rossler state has 3 components, got shape {state.shape}")
+    return state
 
 
 def rossler_jacobian_parts(a: float = 0.2, b: float = 0.2, c: float = 7.0):
@@ -418,7 +426,7 @@ def _rossler_phi2(state) -> np.ndarray:
     """State-dependent part of the Rossler Jacobian: z and x in columns 1
     and 3 of row 3.  a, b and c do not enter it, so every call of
     :func:`rossler_jacobian_parts` returns this one function."""
-    state = np.asarray(state, dtype=float)
+    state = _rossler_state(state)
     out = np.zeros(state.shape[:-1] + (3, 3))
     out[..., 2, 0] = state[..., 2]
     out[..., 2, 2] = state[..., 0]
@@ -512,8 +520,13 @@ def build_three_oscillator(eps: float, delta: float, coupling_matrix_fn,
     weight eps/3 + delta/sqrt(3) and backward weight eps/3 - delta/sqrt(3);
     its eigenvalues are {0, -eps + i*delta, -eps - i*delta}, so eps sets
     the transverse damping and delta the rotation of the two transverse
-    modes.
+    modes.  a, b and c are stored as floats; each must be a finite real.
     """
+    abc = [np.asarray(v) for v in (a, b, c)]
+    if not all(v.shape == () and v.dtype.kind in "biuf" and np.isfinite(v)
+               for v in abc):
+        raise InvalidInput(f"a, b and c must be finite reals, got {(a, b, c)}")
+    a, b, c = map(float, abc)
     fwd = eps / 3.0 + delta / np.sqrt(3.0)
     bwd = eps / 3.0 - delta / np.sqrt(3.0)
     diag = -2.0 * eps / 3.0
@@ -539,19 +552,23 @@ def _batched_or_loop(fn, x0: np.ndarray, shape: tuple):
     """``fn`` over a stack of node states: fn itself, called batched, when
     on x0 it runs and returns the shape and values of a per-node loop,
     else that loop; guards against callables that silently broadcast
-    wrong."""
+    wrong.  Raises :class:`DimensionMismatch` once, here, when fn maps a
+    node of x0 to anything but ``shape[1:]``."""
     def loop(X):
         out = np.empty(shape)
         for i in range(X.shape[0]):
             out[i] = fn(X[i])
         return out
 
+    nodes = [np.asarray(fn(x), dtype=float) for x in x0]
+    if any(node.shape != shape[1:] for node in nodes):
+        raise DimensionMismatch(f"one node's output must be {shape[1:]}")
     try:
         got = np.asarray(fn(x0), dtype=float)
     except Exception:
         return loop
     batched = got.shape == shape and np.allclose(
-        got, loop(x0), rtol=1e-12, atol=1e-12)
+        got, nodes, rtol=1e-12, atol=1e-12)
     return fn if batched else loop
 
 
@@ -573,8 +590,8 @@ def _make_nonlinear_rhs(sys: NonlinearNetworkSystem, x0: np.ndarray):
 
 def _probe_coefficients(sys: NonlinearNetworkSystem, initial: np.ndarray):
     """``(a, b, c, G, sent)`` when sys is a probe of
-    :func:`build_three_oscillator` with real a, b and c and initial is
-    (3, 3), else None: a, b and c as Python floats, G as a flat row-major
+    :func:`build_three_oscillator` and initial is (3, 3), else None: a, b
+    and c as the probe stores them, Python floats, G as a flat row-major
     list, and ``sent``, which maps the 9 floats of a state to the 9
     floats ``M(x_j) x_j`` that the nodes send.  A coupling of
     :func:`design_nonlinear_coupling` over the Rossler Phi2 sends its
@@ -584,8 +601,7 @@ def _probe_coefficients(sys: NonlinearNetworkSystem, initial: np.ndarray):
     decides, so a callable that keeps its argument never sees it change."""
     f, m, G = sys.node_dynamics, sys.coupling_matrix_fn, sys.connection
     if not (isinstance(f, functools.partial) and f.func is _rossler_node
-            and G.shape == initial.shape == (3, 3)
-            and all(isinstance(v, numbers.Real) for v in f.args)):
+            and G.shape == initial.shape == (3, 3)):
         return None
     if (isinstance(m, functools.partial)
             and m.func is _designed_coupling_matrix
@@ -611,7 +627,7 @@ def _probe_coefficients(sys: NonlinearNetworkSystem, initial: np.ndarray):
         def sent(*state):
             X = np.array(state).reshape(3, 3)
             return np.matmul(m_eval(X), X[:, :, None]).ravel().tolist()
-    return (*map(float, f.args), G.ravel().tolist(), sent)
+    return (*f.args, G.ravel().tolist(), sent)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -681,12 +697,12 @@ def simulate_nonlinear(sys: NonlinearNetworkSystem, x0, t_end: float,
     """Integrate dx_i/dt = F(x_i) + sum_j G_ij M(x_j) x_j with fixed-step
     RK4.  Deterministic for fixed inputs; divergence truncates and flags.
 
-    A probe that :func:`build_three_oscillator` builds with real a, b and
-    c steps in Python floats (:func:`_integrate_probe`), whatever its
-    coupling: the coupling callable is called once per stage, or its
-    closed form used when it is :func:`design_nonlinear_coupling` over
-    the Phi2 of :func:`rossler_jacobian_parts`.  Every other system steps
-    its callables on numpy arrays."""
+    Every probe that :func:`build_three_oscillator` builds steps in Python
+    floats (:func:`_integrate_probe`), whatever its coupling: the coupling
+    callable is called once per stage, or its closed form used when it is
+    :func:`design_nonlinear_coupling` over the Phi2 of
+    :func:`rossler_jacobian_parts`.  Every other system steps its
+    callables on numpy arrays."""
     x0 = _check_x0(x0, sys.n_nodes)
     times = _time_grid(t_end, dt)
     coefficients = _probe_coefficients(sys, x0)

@@ -16,8 +16,9 @@ states whether the scenario's contracted outcome held:
 * ``example4``: gain recovery from the example3 coupling matrix, then
   the closed loop; expected to recover the gain and synchronize.
 * ``rossler``: chaotic three-oscillator probe; the state-dependent
-  design is expected to synchronize at weak coupling where the constant
-  selector coupling (``baseline=True``) is expected to fail.
+  design is expected to synchronize at weak coupling.
+* ``rossler-baseline``: the same probe under the constant selector
+  coupling (``run_rossler(baseline=True)``); expected to fail there.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ __all__ = [
     "run_example4",
     "run_rossler",
     "write_artifacts",
-    "SCENARIO_NAMES",
+    "SCENARIOS",
 ]
 
 LINEAR_SYNC_TOL = 1e-3   # absolute cross-node tolerance for linear runs
@@ -352,15 +353,9 @@ def run_rossler(baseline: bool = False, eps: float | None = None,
     """
     fx = load_fixture("rossler")
     eps_value = float(fx["eps_weak"] if eps is None else eps)
-    if baseline:
-        selector = np.array(fx["selector_coupling"], dtype=float)
-
-        def coupling(state):
-            state = np.asarray(state, dtype=float)
-            return np.broadcast_to(
-                selector, state.shape[:-1] + selector.shape).copy()
-    else:
-        coupling = designed_rossler_coupling(eps_value, fx)
+    selector = np.array(fx["selector_coupling"], dtype=float)
+    coupling = ((lambda state: selector) if baseline   # one node's matrix
+                else designed_rossler_coupling(eps_value, fx))
 
     sys = build_three_oscillator(eps_value, fx["delta"], coupling,
                                  a=fx["a"], b=fx["b"], c=fx["c"])
@@ -405,9 +400,16 @@ def run_rossler(baseline: bool = False, eps: float | None = None,
     )
 
 
-# ``reproduce`` choices, each run by ``run_<name>``; ``reproduce all`` runs
-# them in this order and then the rossler baseline.
-SCENARIO_NAMES = ("example1", "example2", "example3", "example4", "rossler")
+# ``reproduce`` choices in the order ``reproduce all`` runs them: each
+# name maps to the runner ``run_<runner>`` and its keyword arguments.
+SCENARIOS = {
+    "example1": ("example1", {}),
+    "example2": ("example2", {}),
+    "example3": ("example3", {}),
+    "example4": ("example4", {}),
+    "rossler": ("rossler", {}),
+    "rossler-baseline": ("rossler", {"baseline": True}),
+}
 
 
 def dump_json(obj) -> str:

@@ -186,7 +186,7 @@ def test_design_defective_laplacian_is_domain_error(tmp_path, capsys):
 
 def test_reproduce_rossler_baseline_expected_verdict(tmp_path):
     out = tmp_path / "runs"
-    code = main(["reproduce", "rossler", "--baseline",
+    code = main(["reproduce", "rossler-baseline",
                  "--t-end", "10.0", "--dt", "2e-3", "--out", str(out)])
     assert code == 0      # the contracted outcome for the baseline is no sync
     report = json.loads(
@@ -291,10 +291,10 @@ def test_dualize_gain_to_h(tmp_path, capsys):
     b_file = _write_json(tmp_path / "B.json", fx["B"])
     k_file = _write_json(tmp_path / "K.json", fx["K"])
     a_file = _write_json(tmp_path / "A.json", fx["A"])
-    code = main(["dualize", "--B", b_file, "--K", k_file, "--A", a_file,
-                 "--c", str(fx["c"])])
+    code = main(["dualize", "--B", b_file, "--K", k_file, "--A", a_file])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
+    assert "c" not in report       # H_paper = -B K holds at every c
     assert np.array_equal(report["H_paper"], fx["H6"])
     assert report["controllability_rank"] == 2 and report["controllable"]
 
@@ -331,20 +331,17 @@ def test_dualize_rank_deficient_is_domain_error(tmp_path, capsys):
 
 def test_dualize_gain_not_fitting_b_is_usage_error(tmp_path, capsys):
     # B is 2 x 1, so K must be 1 x 2: neither a size that does not divide
-    # nor a 1 x 3 gain (which would give a 2 x 3 H_eff) is accepted, and
-    # neither is a fitting K with a NaN or negative coupling strength, nor
+    # nor a 1 x 3 gain (which would give a 2 x 3 H_eff) is accepted, nor
     # a product that overflows
     b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
-    for name, K, extra in (
-            ("odd", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], []),
-            ("wide", [[1.0, 2.0, 3.0]], []),
-            ("column", [[1.0], [0.9]], []),
-            ("c_nan", [[1.0, 0.9]], ["--c", "nan"]),
-            ("c_negative", [[1.0, 0.9]], ["--c", "-1"])):
+    for name, K in (("odd", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                    ("wide", [[1.0, 2.0, 3.0]]),
+                    ("column", [[1.0], [0.9]])):
         k_file = _write_json(tmp_path / f"K_{name}.json", K)
-        code = main(["dualize", "--B", b_file, "--K", k_file] + extra)
+        code = main(["dualize", "--B", b_file, "--K", k_file])
         assert code == 2, name
-        assert "InvalidInput" in capsys.readouterr().err, name
+        assert "DimensionMismatch: K must be 1 x 2" in (
+            capsys.readouterr().err), name
     # finite matrices whose H_paper, Krylov blocks or B^T B overflow
     big = _write_json(tmp_path / "big.json", [[1e308, 1e308], [1e308, 1e308]])
     ones = _write_json(tmp_path / "ones.json", [[1.0, 1.0], [1.0, 1.0]])
@@ -412,7 +409,7 @@ def test_reproduce_example1_writes_artifacts(tmp_path, capsys):
 # the selector baseline steps the float kernel through its coupling callable
 @pytest.mark.parametrize("args, scenario", [
     (["example4", "--t-end", "30.0"], "example4"),
-    (["rossler", "--baseline", "--t-end", "5"], "rossler-baseline")],
+    (["rossler-baseline", "--t-end", "5"], "rossler-baseline")],
     ids=["example4", "rossler-baseline"])
 def test_reproduce_determinism_byte_identical(tmp_path, args, scenario):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -421,6 +418,22 @@ def test_reproduce_determinism_byte_identical(tmp_path, args, scenario):
     dir_a, dir_b = out_a / scenario, out_b / scenario
     names = sorted(p.name for p in dir_a.iterdir())
     assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+def test_reproduce_rossler_baseline_writes_the_baseline_run(tmp_path):
+    # the scenario name selects what the removed --baseline flag did:
+    # run_rossler(baseline=True), its artifacts byte for byte
+    out, direct = tmp_path / "cli", tmp_path / "direct"
+    assert main(["reproduce", "rossler-baseline", "--t-end", "5",
+                 "--out", str(out)]) == 0
+    scenarios.write_artifacts(
+        scenarios.run_rossler(baseline=True, t_end=5.0), str(direct))
+    dir_a, dir_b = out / "rossler-baseline", direct / "rossler-baseline"
+    names = sorted(p.name for p in dir_b.iterdir())
+    assert names == sorted(p.name for p in dir_a.iterdir())
+    assert "baseline_trajectory.csv" in names
     for name in names:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
@@ -523,13 +536,25 @@ def test_reproduce_flag_validation(tmp_path, capsys):
     assert main(["reproduce", "example1", "--t-end", "1e14",
                  "--out", out]) == 2
     assert "InvalidInput" in capsys.readouterr().err
-    assert main(["reproduce", "example4", "--baseline", "--out", out]) == 2
-    assert "InvalidInput: --baseline applies to rossler only" in (
-        capsys.readouterr().err)
+
+
+def test_removed_flags_are_usage_errors(tmp_path, capsys):
+    # the scenario name says what --baseline did, and nothing dualize
+    # computes reads a coupling strength: argparse rejects both flags
+    b_file = _write_json(tmp_path / "B.json", [[1.0], [-1.0]])
+    k_file = _write_json(tmp_path / "K.json", [[1.0, 0.9]])
+    out = str(tmp_path / "runs")
+    for argv in (["reproduce", "rossler", "--baseline", "--out", out],
+                 ["dualize", "--B", b_file, "--K", k_file, "--c", "1"]):
+        assert _exit_code(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "error: unrecognized arguments: " in captured.err, argv
+    assert not os.path.exists(out)
 
 
 def test_reproduce_all_dispatch_and_aggregation(tmp_path, monkeypatch, capsys):
-    """`all` runs every scenario plus the chaotic baseline and ANDs the
+    """`all` runs every scenario of the table in its order and ANDs the
     verdicts into the exit code (stubbed runners keep this fast)."""
     from netsync import scenarios as sc
 
@@ -546,8 +571,9 @@ def test_reproduce_all_dispatch_and_aggregation(tmp_path, monkeypatch, capsys):
     for name in ("example1", "example2", "example3", "example4", "rossler"):
         monkeypatch.setattr(sc, f"run_{name.replace('-', '_')}", stub(name))
     code = main(["reproduce", "all", "--out", str(tmp_path / "runs")])
-    assert seen == ["example1", "example2", "example3", "example4",
-                    "rossler", "rossler-baseline"]
+    assert seen == list(scenarios.SCENARIOS) == [
+        "example1", "example2", "example3", "example4", "rossler",
+        "rossler-baseline"]
     assert code == 1  # the stubbed rossler verdict fails, so `all` fails
 
 
@@ -608,7 +634,6 @@ _EXTREME_FLAGS = st.sampled_from(["0", "-1", "90.0000001", "180", "1e-320",
 _FLAGS = {flag: st.one_of(st.sampled_from(values), _EXTREME_FLAGS)
           for flag, values in (("--margin", ["0.5", "1", "2"]),
                                ("--sigma", ["0.5", "1", "2"]),
-                               ("--c", ["0.5", "1", "2"]),
                                ("--argument", ["120", "150", "170"]),
                                ("--poles", ["-0.5", "-1", "-2"]))}
 
@@ -650,11 +675,9 @@ def _argvs(draw):
     command = draw(st.sampled_from(["reproduce", "spectrum", "design",
                                     "dualize"]))
     if command == "reproduce":
-        argv = [command, draw(st.sampled_from(scenarios.SCENARIO_NAMES
-                                              + ("all",))),
+        argv = [command, draw(st.sampled_from([*scenarios.SCENARIOS,
+                                               "all"])),
                 f"--seed={draw(_SEEDS)}"]
-        if draw(st.integers(0, 3)) == 0:
-            argv.append("--baseline")
         return argv + draw(_HORIZONS), {}
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, n))
@@ -693,7 +716,7 @@ def _argvs(draw):
              else file_flag("--H", _matrices(n, n)))
     if draw(st.booleans()):
         argv += file_flag("--A", _matrices(n, n))
-    return argv + value_flags("--c"), files
+    return argv, files
 
 
 # zero or more stiffness warnings as ``warnings.formatwarning`` writes

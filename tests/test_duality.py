@@ -3,7 +3,8 @@
 Covers:
   - h_from_gain against the consensus fixture matrices (also with a flat
     B, read as a column), and the shape gates of h_from_gain (also a
-    3-D B), recovery_residual, controllability and AgentModel
+    3-D B and a K that is not m x n for an n x m B), recovery_residual,
+    controllability and AgentModel
   - pseudoinverse: worked values, left-inverse property, the four
     Moore-Penrose conditions, rank rejection (also of a B^T B singular
     in floating point)
@@ -61,6 +62,10 @@ def test_h_from_gain_zero_gain_gives_zero_matrix():
 def test_h_from_gain_dimension_gate():
     with pytest.raises(DimensionMismatch):
         h_from_gain(np.array([[1.0], [-1.0]]), np.zeros((2, 2)))
+    # a 1 x 3 K once gave a 2 x 3 "H_paper" for this 2 x 1 B
+    for K in (np.zeros((1, 3)), np.zeros(3), np.zeros((2, 1)), 1.0):
+        with pytest.raises(DimensionMismatch, match="K must be 1 x 2"):
+            h_from_gain(np.array([[1.0], [-1.0]]), K)
     with pytest.raises(DimensionMismatch, match="ndim=3"):
         h_from_gain(np.ones((2, 1, 1)), np.ones((1, 2)))
 

@@ -21,7 +21,7 @@ Covers:
     RK4 loop (designed, selector, random zero-row-sum and per-node
     couplings), and a finite state whose sum overflows running to the end
   - the three-oscillator probe's float kernel: taken by every probe of
-    build_three_oscillator with real parameters, bit for bit against a
+    build_three_oscillator, bit for bit against a
     Python-float RK4 under the designed closed form, the fixture
     selector, a dense constant and a per-node coupling, within 1e-12
     relative of the numpy path for both fixture couplings, diverging at
@@ -29,8 +29,10 @@ Covers:
     passing its exception on unchanged
   - time-grid validation, NaN in the positive-scalar checks, non-finite
     inputs rejected with no warning (also by the design and duality
-    functions), malformed and empty trajectories, an x0 of the wrong
-    shape, and the per-node fallback for callables that broadcast wrong
+    functions), probe parameters that are not finite reals, malformed
+    and empty trajectories, an x0 of the wrong shape, a node width that
+    the node dynamic or coupling does not fit, and the per-node fallback
+    for callables that broadcast wrong
   - the CSV writer byte for byte against the reference on generated
     64-bit patterns, and its memory bounded by one chunk, each also with
     the file forced onto 1, 2 and 3 processes; its process count bounded
@@ -655,9 +657,9 @@ def _probe_pair(eps, baseline=False):
 
 
 def test_probe_kernel_path_selection(monkeypatch):
-    # every probe of build_three_oscillator with real a, b and c takes the
-    # float kernel, whatever its coupling; the bare vector field and an
-    # array-valued parameter stay on numpy
+    # every probe of build_three_oscillator takes the float kernel,
+    # whatever its coupling and whatever real scalars give its a, b and c;
+    # the bare vector field stays on numpy
     calls = []
     kernel = dynamics._integrate_probe
     monkeypatch.setattr(dynamics, "_integrate_probe",
@@ -679,14 +681,70 @@ def test_probe_kernel_path_selection(monkeypatch):
                                 probe.connection), 0),
         (NonlinearNetworkSystem(rossler_vector_field, selector,
                                 probe.connection), 0),
-        (build_three_oscillator(0.3, 1.0, designed, a=np.array(0.2)), 0),
-        (build_three_oscillator(0.3, 1.0, selector, a=np.array(0.2)), 0),
+        (build_three_oscillator(0.3, 1.0, designed, a=np.array(0.2)), 1),
+        (build_three_oscillator(0.3, 1.0, selector, a=np.array(0.2)), 1),
     ]
     x0 = np.ones((3, 3))
     for sys, taken in expected:
         calls.clear()
         simulate_nonlinear(sys, x0, 0.01, 1e-3)
         assert len(calls) == taken, sys
+
+
+@pytest.mark.parametrize("name, value", [
+    ("a", float("nan")), ("b", np.inf), ("c", -np.inf), ("a", "x"),
+    ("b", 1.0 + 2.0j), ("c", None), ("a", np.array([0.2]))],
+    ids=["a-nan", "b-inf", "c-neg-inf", "a-str", "b-complex", "c-none",
+         "a-1d"])
+def test_probe_parameter_that_is_not_a_finite_real_is_invalid(name, value):
+    # a NaN a once ran as "diverged at step 0" and a string a ended in a
+    # raw numpy UFuncTypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput,
+                           match="^a, b and c must be finite reals"):
+            build_three_oscillator(0.3, 1.0, _constant_coupling(-np.eye(3)),
+                                   **{name: value})
+
+
+def test_probe_parameters_are_stored_as_floats():
+    probe = build_three_oscillator(0.3, 1.0, _constant_coupling(-np.eye(3)),
+                                   a=np.array(0.2), b=np.float32(0.25), c=7)
+    a, b, c = probe.node_dynamics.args
+    assert (a, b, c) == (0.2, 0.25, 7.0)
+    assert all(type(v) is float for v in (a, b, c))
+
+
+def _wide_node(state):
+    return -np.asarray(state, dtype=float)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_node_width_that_does_not_fit_is_dimension_mismatch(width):
+    # once numpy's "could not broadcast input array from shape (3,3) into
+    # shape (2,2)"; the Rossler field needs 3 components, and a coupling
+    # or node dynamic whose one-node output does not fit fails at set-up
+    designed = designed_rossler_coupling(0.3)
+    connection = build_three_oscillator(0.3, 1.0, designed).connection
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="3 components"):
+            rossler_vector_field(np.ones((3, width)))
+        for sys in (build_three_oscillator(0.3, 1.0, designed),
+                    build_three_oscillator(0.3, 1.0, _constant_coupling(
+                        -np.eye(3))),
+                    NonlinearNetworkSystem(_wide_node, designed, connection)):
+            with pytest.raises(DimensionMismatch):
+                simulate_nonlinear(sys, np.ones((3, width)), 0.01, 1e-3)
+        # 3-wide states whose coupling maps one node to a matrix of another
+        # size, on the float kernel and on the numpy path
+        for sys in (build_three_oscillator(0.3, 1.0, lambda s: np.eye(2)),
+                    NonlinearNetworkSystem(rossler_vector_field,
+                                           lambda s: np.eye(2), connection),
+                    NonlinearNetworkSystem(_wide_node, lambda s: np.eye(width),
+                                           connection)):
+            with pytest.raises(DimensionMismatch, match="one node's output"):
+                simulate_nonlinear(sys, np.ones((3, 3)), 0.01, 1e-3)
 
 
 def _assert_kernel_matches_numpy_path(probe, plain):
