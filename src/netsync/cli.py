@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``spectrum`` (Laplacian eigenstructure of a topology file),
+Subcommands: ``spectrum`` (Laplacian spectrum of a topology file),
 ``design`` (inner coupling synthesis + verification), ``dualize``
 (coupling matrix <-> feedback gain), and ``reproduce`` (run a bundled
 reference scenario and write its artifacts).
@@ -41,12 +41,7 @@ from .duality import (
     pseudo_inverse,
     recovery_residual,
 )
-from .errors import (
-    DefectiveMatrix,
-    DimensionMismatch,
-    InvalidInput,
-    NetsyncError,
-)
+from .errors import DimensionMismatch, InvalidInput, NetsyncError
 from .graph import build_laplacian, is_connected, load_topology, spectrum
 
 EXIT_OK = 0
@@ -105,7 +100,6 @@ def _cmd_spectrum(args) -> int:
         "theta_max_radians": lap_spec.theta_max,
         "theta_max_degrees": float(np.degrees(lap_spec.theta_max)),
         "connected": is_connected(lap_spec),
-        "defective": lap_spec.defective,
     }
     _emit(payload, args.out, "spectrum.json")
     return EXIT_OK
@@ -143,12 +137,6 @@ def _cmd_design(args) -> int:
     lap_spec = spectrum(build_laplacian(topology))
     if not is_connected(lap_spec):
         raise InvalidInput("topology is not connected; no design exists")
-    if lap_spec.defective:
-        # transverse modes do not decouple without a full Laplacian eigenbasis
-        raise DefectiveMatrix(
-            "topology Laplacian has no reliable eigenbasis; "
-            "per-mode design is not applicable"
-        )
     decomp = decompose(A)
     poles = _parse_poles(args.poles, decomp.n)
     if not topology.directed:

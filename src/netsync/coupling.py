@@ -536,6 +536,10 @@ def verify(A, H_eff, sigma: float, lap_spectrum: LaplacianSpectrum) -> ModeAnaly
     spectrum) the eigenvalues of ``A + sigma * lambda_k * H_eff`` are
     computed (complex lambda_k gives a complex mode matrix), and the
     design passes iff every mode's largest real part is below -1e-9.
+    L's eigenvalues suffice whatever its Jordan structure: with the Schur
+    form L = U T U*, ``I (x) A + sigma L (x) H_eff`` is similar to the block
+    upper triangular ``I (x) A + sigma T (x) H_eff``, whose diagonal blocks
+    are these mode matrices.
     """
     A, H = _square_matrices("A and H_eff", A, H_eff)
     _require_positive("sigma", sigma)

@@ -48,17 +48,13 @@ from .coupling import stiffest_mode_modulus
 from .duality import AgentModel
 from .errors import (
     DimensionMismatch,
-    EigensolverFailure,
     InvalidInput,
     PreconditionViolation,
     _require_finite,
     _require_positive,
     _square_matrices,
 )
-from .graph import Laplacian
-
-# Not called here; perfbench's tracer wraps it in this module.
-from .graph import spectrum  # noqa: F401
+from .graph import Laplacian, spectrum
 
 __all__ = [
     "LinearNetworkSystem",
@@ -309,13 +305,9 @@ def _check_x0(x0, n_nodes: int, node_dim: int | None = None) -> np.ndarray:
 
 def _warn_if_stiff(A, H_eff, sigma: float, laplacian: Laplacian,
                    dt: float) -> None:
-    """Warn when the stiffest mode modulus times dt reaches the limit.
-    Needs the Laplacian eigenvalues only, not its full spectrum."""
-    try:
-        lambdas = np.linalg.eigvals(laplacian.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"eigendecomposition failed: {exc}") from exc
-    worst = stiffest_mode_modulus(A, H_eff, sigma, lambdas)
+    """Warn when the stiffest mode modulus times dt reaches the limit."""
+    worst = stiffest_mode_modulus(A, H_eff, sigma,
+                                  spectrum(laplacian).eigenvalues)
     if worst * dt >= _STABILITY_LIMIT:
         warnings.warn(
             f"stiffest mode modulus {worst:.3g} * dt {dt:.3g} = "
@@ -520,13 +512,15 @@ def build_three_oscillator(eps: float, delta: float, coupling_matrix_fn,
     weight eps/3 + delta/sqrt(3) and backward weight eps/3 - delta/sqrt(3);
     its eigenvalues are {0, -eps + i*delta, -eps - i*delta}, so eps sets
     the transverse damping and delta the rotation of the two transverse
-    modes.  a, b and c are stored as floats; each must be a finite real.
+    modes.  eps, delta, a, b and c are taken as floats; each must be a
+    finite real.
     """
-    abc = [np.asarray(v) for v in (a, b, c)]
+    values = [np.asarray(v) for v in (eps, delta, a, b, c)]
     if not all(v.shape == () and v.dtype.kind in "biuf" and np.isfinite(v)
-               for v in abc):
-        raise InvalidInput(f"a, b and c must be finite reals, got {(a, b, c)}")
-    a, b, c = map(float, abc)
+               for v in values):
+        raise InvalidInput("eps, delta, a, b and c must be finite reals, "
+                           f"got {(eps, delta, a, b, c)}")
+    eps, delta, a, b, c = map(float, values)
     fwd = eps / 3.0 + delta / np.sqrt(3.0)
     bwd = eps / 3.0 - delta / np.sqrt(3.0)
     diag = -2.0 * eps / 3.0

@@ -13,7 +13,7 @@ and safe to call from concurrent readers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,10 +29,6 @@ __all__ = [
     "is_connected",
     "load_topology",
 ]
-
-# Eigenvector-matrix condition number above which a spectrum is flagged
-# as defective (repeated eigenvalues without a full eigenbasis).
-_DEFECTIVE_CONDITION = 1e12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -72,7 +68,7 @@ class Topology:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """An N x N Laplacian: zero row sums, nonpositive off-diagonal."""
+    """An N x N Laplacian, N >= 2: zero row sums, nonpositive off-diagonal."""
 
     matrix: np.ndarray
 
@@ -81,6 +77,8 @@ class Laplacian:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"Laplacian must be square, got shape {m.shape}")
         n = m.shape[0]
+        if n < 2:
+            raise InvalidInput("a Laplacian needs at least 2 nodes")
         magnitude = np.abs(m)
         # ||L||_inf bounds every eigenvalue; an overflowing degree makes it
         # infinite, and the spectrum would hold inf or fail to converge
@@ -107,7 +105,7 @@ class Laplacian:
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
-    """Sorted eigenvalues/eigenvectors of a Laplacian.
+    """Sorted eigenvalues of a Laplacian.
 
     Eigenvalues are sorted by ascending real part, ties broken by
     ascending imaginary part, so the zero eigenvalue of a connected
@@ -117,8 +115,6 @@ class LaplacianSpectrum:
     ----------
     eigenvalues : (N,) complex
         Sorted spectrum.
-    eigenvectors : (N, N) complex
-        Columns aligned with ``eigenvalues``.
     lambda2 : complex
         Second eigenvalue in the sort: the algebraic connectivity for
         an undirected topology, and the smallest-real-part transverse
@@ -128,18 +124,12 @@ class LaplacianSpectrum:
         above ``zero_tolerance``.
     zero_tolerance : float
         Modulus threshold under which an eigenvalue is treated as zero.
-    defective : bool
-        True when the eigenvector matrix is ill-conditioned (repeated
-        eigenvalues without a full eigenbasis); design operations reject
-        such spectra.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     lambda2: complex
     theta_max: float
     zero_tolerance: float
-    defective: bool = field(default=False)
 
 
 def build_laplacian(topology: Topology) -> Laplacian:
@@ -155,7 +145,7 @@ def build_laplacian(topology: Topology) -> Laplacian:
 
 
 def spectrum(lap: Laplacian) -> LaplacianSpectrum:
-    """Eigendecompose a Laplacian with a deterministic mode order.
+    """The eigenvalues of a Laplacian in a deterministic mode order.
 
     The zero tolerance, the modulus below which an eigenvalue counts as
     zero, is ``1e-9 * ||L||_inf`` with a floor of 1e-12 for the zero
@@ -168,13 +158,11 @@ def spectrum(lap: Laplacian) -> LaplacianSpectrum:
     """
     m = lap.matrix
     try:
-        vals, vecs = np.linalg.eig(m)
+        vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigendecomposition failed: {exc}") from exc
 
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals = vals[np.lexsort((vals.imag, vals.real))]
 
     scale = np.abs(m).sum(axis=1).max()
     zero_tolerance = max(1e-9 * scale, 1e-12)
@@ -185,14 +173,11 @@ def spectrum(lap: Laplacian) -> LaplacianSpectrum:
     else:
         theta_max = 0.0
 
-    cond = np.linalg.cond(vecs)
     return LaplacianSpectrum(
         eigenvalues=_freeze(vals),
-        eigenvectors=_freeze(vecs),
         lambda2=complex(vals[1]),
         theta_max=theta_max,
         zero_tolerance=float(zero_tolerance),
-        defective=bool(not np.isfinite(cond) or cond > _DEFECTIVE_CONDITION),
     )
 
 

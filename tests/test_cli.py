@@ -173,15 +173,18 @@ def test_design_disconnected_topology_is_usage_error(tmp_path, capsys):
     assert main(["design", "--A", a_file, "--topology", topo]) == 2
 
 
-def test_design_defective_laplacian_is_domain_error(tmp_path, capsys):
-    # one-way chain: eigenvalue 1 is repeated without a full eigenbasis
+def test_design_one_way_chain_is_hurwitz(tmp_path, capsys):
+    # one-way chain: eigenvalue 1 is repeated without a full eigenbasis,
+    # and the modes are still exactly the mode matrices at {1, 1}
     w = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     topo = _write_json(tmp_path / "chain.json", {"directed": True, "weights": w})
     a_file = _write_json(tmp_path / "A.json", [[0.0]])
     code = main(["design", "--A", a_file, "--topology", topo,
                  "--argument", "150"])
-    assert code == 1
-    assert "DefectiveMatrix" in capsys.readouterr().err
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["hurwitz"] is True
+    assert [m["max_real_part"] for m in report["modes"]] == [-1.0, -1.0]
 
 
 def test_reproduce_rossler_baseline_expected_verdict(tmp_path):

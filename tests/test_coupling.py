@@ -23,6 +23,11 @@ Covers:
     (0, inf) rejected
   - properties: realization round-trip, design soundness over random
     instances, exact pole placement, H_paper = -H_eff and read-only
+  - a property over leader-follower topologies (permuted one-way chains
+    and trees with equal in-degrees), whose Laplacians mostly have no
+    full eigenbasis: the directed design is Hurwitz with every mode on
+    the pole, verify's verdict agrees with the network Jacobian on the
+    disagreement subspace, and simulate_linear synchronizes
 """
 
 import warnings
@@ -40,16 +45,21 @@ from netsync import (
     ArgumentMarginViolation,
     EigensolverFailure,
     Laplacian,
+    LinearNetworkSystem,
     ModalCouplingSpec,
     PreconditionViolation,
     RealizationResidue,
+    Topology,
     build_laplacian,
     decompose,
     design_directed,
     design_report,
     design_undirected,
+    is_connected,
     realize,
+    simulate_linear,
     spectrum,
+    sync_error,
     verify,
 )
 from netsync.coupling import _cluster_labels, _conjugate_pairs
@@ -577,3 +587,86 @@ def test_design_report_schema(fx1):
     assert len(report["modes"]) == 4
     assert report["hurwitz"] is True
     assert all(len(pair) == 2 for pair in report["h_entries"])
+
+
+@st.composite
+def _leader_follower_problems(draw):
+    """(topology, A): a one-way chain or a tree on N = 3..8 permuted
+    nodes, every edge of one weight w, so L is triangular up to the
+    permutation with w on N - 1 diagonal places; and A = S J S^-1 with
+    cond(S) <= 10 and n = 1..3 modes whose real parts are distinct
+    points of a 0.1 grid in [-0.5, 0.2]."""
+    N = draw(st.sampled_from(range(3, 9)))
+    chain = draw(st.booleans())
+    w = draw(st.floats(0.5, 2.0))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(N)
+    weights = np.zeros((N, N))
+    for i in range(1, N):
+        parent = order[i - 1] if chain else order[rng.integers(0, i)]
+        weights[order[i], parent] = w
+
+    real_parts = iter(rng.permutation(np.linspace(-0.5, 0.2, 8)))
+    J = np.zeros((n, n))
+    i = 0
+    while i < n:
+        re = next(real_parts)
+        if n - i >= 2 and rng.random() < 0.5:
+            b = rng.uniform(0.3, 2.0)
+            J[i:i + 2, i:i + 2] = [[re, b], [-b, re]]
+            i += 2
+        else:
+            J[i, i] = re
+            i += 1
+    U, _, Vt = np.linalg.svd(rng.normal(size=(n, n)))
+    S = U @ np.diag(np.logspace(0.0, rng.uniform(0.0, 1.0), n)) @ Vt
+    return (Topology(n_nodes=N, directed=True, weights=weights),
+            S @ J @ np.linalg.inv(S))
+
+
+def _transverse_max_real_part(A, H_eff, sigma, L):
+    """Largest real part of the Nn x Nn network Jacobian restricted to
+    the disagreement coordinates x_i - x_0, i = 1..N-1: D J D^+ with D
+    of full row rank, which is exact since J maps the synchronous
+    subspace ker D into itself."""
+    N, n = L.shape[0], A.shape[0]
+    J = np.kron(np.eye(N), A) + sigma * np.kron(L, H_eff)
+    D = np.kron(np.hstack([-np.ones((N - 1, 1)), np.eye(N - 1)]), np.eye(n))
+    return np.linalg.eigvals(D @ J @ np.linalg.pinv(D)).real.max()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem=_leader_follower_problems(), sigma=st.floats(0.5, 2.0),
+       argument=st.floats(135.0, 180.0), seed=st.integers(0, 2**32 - 1))
+def test_leader_follower_designs_verify_and_synchronize(problem, sigma,
+                                                        argument, seed):
+    topology, A = problem
+    lap = build_laplacian(topology)
+    lap_spec = spectrum(lap)
+    assert is_connected(lap_spec)
+    d = decompose(A)
+    spec = design_directed(d, lap_spec.lambda2, lap_spec.theta_max,
+                           argument=np.radians(argument),
+                           poles=[-1.0] * d.n, sigma=sigma)
+    H = realize(spec, d).H_eff
+    analysis = verify(A, H, sigma, lap_spec)
+    assert analysis.overall_hurwitz
+    assert all(abs(m.max_real_part + 1.0) <= 1e-6 for m in analysis.modes)
+
+    # eig resolves a k x k Jordan block of the Jacobian only to about
+    # eps**(1/k) * ||J||, within 0.05 here for k <= 7, so verdicts are
+    # compared only 0.1 or more from the imaginary axis
+    rng = np.random.default_rng(seed)
+    for H_x in (H, rng.normal(0.0, 0.5, (d.n, d.n))):
+        jacobian = _transverse_max_real_part(A, H_x, sigma, lap.matrix)
+        if abs(jacobian) >= 0.1:
+            assert verify(A, H_x, sigma, lap_spec).overall_hurwitz == (
+                jacobian < 0.0)
+
+    # a k x k Jordan block decays like t**(k - 1) * e**-t: still about
+    # 4e-7 at t = 30 for N = 8, far below 1e-8 by t = 40
+    system = LinearNetworkSystem(A=A, H_eff=H, sigma=sigma, laplacian=lap)
+    x0 = rng.uniform(-1.0, 1.0, (topology.n_nodes, d.n))
+    traj = simulate_linear(system, x0, 40.0, 1e-2)
+    assert sync_error(traj, 1e-8).error_series[-1] < 1e-8

@@ -693,18 +693,22 @@ def test_probe_kernel_path_selection(monkeypatch):
 
 @pytest.mark.parametrize("name, value", [
     ("a", float("nan")), ("b", np.inf), ("c", -np.inf), ("a", "x"),
-    ("b", 1.0 + 2.0j), ("c", None), ("a", np.array([0.2]))],
+    ("b", 1.0 + 2.0j), ("c", None), ("a", np.array([0.2])),
+    ("eps", "x"), ("delta", None), ("eps", np.array([0.1, 0.2]))],
     ids=["a-nan", "b-inf", "c-neg-inf", "a-str", "b-complex", "c-none",
-         "a-1d"])
+         "a-1d", "eps-str", "delta-none", "eps-1d"])
 def test_probe_parameter_that_is_not_a_finite_real_is_invalid(name, value):
-    # a NaN a once ran as "diverged at step 0" and a string a ended in a
-    # raw numpy UFuncTypeError
+    # a NaN a once ran as "diverged at step 0", a string a ended in a raw
+    # numpy UFuncTypeError, a string eps in a raw TypeError and a 1-D eps
+    # in a DimensionMismatch about a (3, 3, 2) connection
+    params = {"eps": 0.3, "delta": 1.0, name: value}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput,
-                           match="^a, b and c must be finite reals"):
-            build_three_oscillator(0.3, 1.0, _constant_coupling(-np.eye(3)),
-                                   **{name: value})
+                           match="^eps, delta, a, b and c must be finite "
+                                 "reals"):
+            build_three_oscillator(
+                coupling_matrix_fn=_constant_coupling(-np.eye(3)), **params)
 
 
 def test_probe_parameters_are_stored_as_floats():

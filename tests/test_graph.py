@@ -7,11 +7,14 @@ Covers:
   - connectivity detection (one zero eigenvalue, rest right of it), and
     its tolerance and the spectrum's zero tolerance rejected unless
     positive and finite
+  - the one-way chain, whose Laplacian has no full eigenbasis: its
+    spectrum is exactly {0, 1, 1} and it is connected
   - structural invariants over random topologies: zero row sums, real
-    nonnegative undirected spectra, eigenvector reconstruction, trace
+    nonnegative undirected spectra, trace, and the eigenvalues against
+    eigvalsh (undirected) or sum(lambda^2) = tr(L^2) (directed)
   - topology and Laplacian invariant rejection (a node count that
-    disagrees with the weights, a non-square Laplacian), including
-    degrees whose Laplacian row norms overflow
+    disagrees with the weights, a non-square or single-node Laplacian),
+    including degrees whose Laplacian row norms overflow
   - topology JSON loading of a hand-written file, and rejection of
     malformed files (a non-object payload, a non-boolean "directed")
 """
@@ -102,19 +105,21 @@ def test_sort_order_is_real_then_imag():
     assert spec.lambda2.imag < 0
 
 
-def test_eigenvector_alignment():
+def test_undirected_spectrum_matches_eigvalsh():
     lap = build_laplacian(path_topology(5))
     spec = spectrum(lap)
-    resid = lap.matrix @ spec.eigenvectors - spec.eigenvectors @ np.diag(spec.eigenvalues)
-    assert np.abs(resid).max() <= 1e-8 * np.abs(lap.matrix).sum(axis=1).max()
+    scale = np.abs(lap.matrix).sum(axis=1).max()
+    assert np.abs(spec.eigenvalues - np.linalg.eigvalsh(lap.matrix)).max() \
+        <= 1e-12 * scale
 
 
-def test_defective_spectrum_is_flagged():
+def test_one_way_chain_spectrum_is_exact():
     # directed chain feeding one way: eigenvalue 1 repeated with a single
-    # eigenvector
+    # eigenvector, so L has no full eigenbasis
     L = np.array([[0., 0., 0.], [-1., 1., 0.], [0., -1., 1.]])
     spec = spectrum(Laplacian(L))
-    assert spec.defective
+    assert np.array_equal(spec.eigenvalues, [0.0, 1.0, 1.0])
+    assert is_connected(spec)
 
 
 # ── is_connected ─────────────────────────────────────────────────────────────
@@ -156,12 +161,14 @@ def test_random_topology_invariants():
             assert spec.eigenvalues.real.min() >= -1e-10
         # eigenvalue sum equals trace
         assert abs(spec.eigenvalues.sum() - np.trace(m)) <= 1e-8 * max(1.0, abs(np.trace(m)))
-        # reconstruction through the eigenbasis
-        if not spec.defective:
-            U = spec.eigenvectors
-            recon = U @ np.diag(spec.eigenvalues) @ np.linalg.inv(U)
-            scale = np.abs(m).sum(axis=1).max()
-            assert np.abs(recon - m).max() <= 1e-7 * max(scale, 1e-30)
+        # the eigenvalues against an independent reference
+        scale = np.abs(m).sum(axis=1).max()
+        if not directed:
+            assert np.abs(spec.eigenvalues.real - np.linalg.eigvalsh(m)).max() \
+                <= 1e-10 * scale
+        else:
+            assert abs((spec.eigenvalues ** 2).sum() - np.trace(m @ m)) \
+                <= 1e-8 * n * scale ** 2
 
 
 # ── validation ───────────────────────────────────────────────────────────────
@@ -189,6 +196,9 @@ def test_laplacian_invariant_violations():
             Laplacian(np.array([[bad, -bad], [-bad, bad]]))
     with pytest.raises(InvalidInput, match="square"):
         Laplacian(np.zeros((2, 3)))
+    # a spectrum needs a second eigenvalue, and the simulators read one
+    with pytest.raises(InvalidInput, match="at least 2 nodes"):
+        Laplacian(np.zeros((1, 1)))
 
 
 def test_topology_node_count_must_match_weights():
