@@ -544,15 +544,15 @@ def verify(A, H_eff, sigma: float, lap_spectrum: LaplacianSpectrum) -> ModeAnaly
     A, H = _square_matrices("A and H_eff", A, H_eff)
     _require_positive("sigma", sigma)
     lambdas = lap_spectrum.eigenvalues[1:]
+    # freeze once and take every per-mode scalar from one reduction and
+    # one tolist(): numpy calls per row cost as much as the small solves
+    spectra = _freeze(_mode_spectra(A, H, sigma, lambdas))
     records = tuple(
-        ModeRecord(
-            k=k,
-            laplacian_eigenvalue=complex(lam),
-            eigenvalues=_freeze(vals),
-            max_real_part=float(vals.real.max()),
-        )
-        for k, (lam, vals) in enumerate(
-            zip(lambdas, _mode_spectra(A, H, sigma, lambdas)), start=2)
+        ModeRecord(k=k, laplacian_eigenvalue=lam, eigenvalues=vals,
+                   max_real_part=peak)
+        for k, (lam, vals, peak) in enumerate(
+            zip(np.asarray(lambdas, dtype=complex).tolist(), spectra,
+                spectra.real.max(axis=1).tolist()), start=2)
     )
     hurwitz = all(r.max_real_part < _HURWITZ_THRESHOLD for r in records)
     return ModeAnalysis(modes=records, overall_hurwitz=hurwitz,

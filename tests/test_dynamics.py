@@ -12,7 +12,9 @@ Covers:
     converged run settling in every component no later than sync_time
   - trajectory CSV round-trip and its bytes against a csv.writer
     reference, stiffness warning (each simulator's guard calling
-    ``stiffest_mode_modulus`` once), step-halving sanity,
+    ``stiffest_mode_modulus`` once on a stiff run and never on a run its
+    norm bound clears, and warning exactly when the exact modulus
+    reaches the limit), step-halving sanity,
     tail log-slope matching the slowest transverse mode
   - the linear propagator against a per-step RK4 loop, its recorded
     spread, truncation inside a block and inside a group of blocks, and
@@ -75,6 +77,7 @@ from netsync import (
     NonlinearCouplingSpec,
     NonlinearNetworkSystem,
     PreconditionViolation,
+    Topology,
     build_laplacian,
     build_three_oscillator,
     component_settle_times,
@@ -160,8 +163,8 @@ def test_stiffness_warning():
 
 
 def test_stiffness_guard_calls_stiffest_mode_modulus(monkeypatch):
-    # both simulators' guard goes through the module-level name, once per
-    # run, and still warns
+    # on a stiff run, which the norm bound cannot clear, both simulators'
+    # guard goes through the module-level name once per run and warns
     calls = []
 
     def spy(A, H_eff, sigma, lambdas):
@@ -173,6 +176,81 @@ def test_stiffness_guard_calls_stiffest_mode_modulus(monkeypatch):
     assert len(calls) == 2
     for lambdas in calls:
         assert np.allclose(lambdas, [0.0, 2.0])
+
+
+def test_non_stiff_runs_skip_the_eigensolves(monkeypatch):
+    # the norm bound clears these runs, so neither simulator solves an
+    # eigenproblem in its guard
+    def forbidden(*args):
+        raise AssertionError("eigensolve in the guard of a non-stiff run")
+
+    monkeypatch.setattr(dynamics, "spectrum", forbidden)
+    monkeypatch.setattr(dynamics, "stiffest_mode_modulus", forbidden)
+    rng = np.random.default_rng(5)
+    lap = build_laplacian(random_connected_topology(rng, 5))
+    A = rng.normal(0, 1, (2, 2))
+    x0 = rng.normal(0, 1, (5, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_linear(LinearNetworkSystem(A=A, H_eff=-np.eye(2), sigma=1.0,
+                                            laplacian=lap), x0, 1.0, 1e-2)
+        simulate_agents(AgentModel(A=A, B=np.eye(2), K=-np.eye(2), c=1.0),
+                        lap, x0, 1.0, 1e-2)
+
+
+def _guard_laplacian(kind: str, rng, n_nodes: int) -> Laplacian:
+    if kind in ("undirected", "directed"):
+        return build_laplacian(random_connected_topology(
+            rng, n_nodes, directed=kind == "directed"))
+    weight = rng.uniform(0.2, 2.0)
+    if kind == "chain":
+        # one-way chain: L has no full eigenbasis
+        w = weight * np.eye(n_nodes, k=-1)
+        return build_laplacian(Topology(n_nodes=n_nodes, directed=True,
+                                        weights=w))
+    # even cycle: its largest eigenvalue is ||L||_inf = 4 * weight
+    n_nodes += n_nodes % 2
+    w = weight * np.roll(np.eye(n_nodes), 1, axis=1)
+    return build_laplacian(Topology(n_nodes=n_nodes, directed=False,
+                                    weights=w + w.T))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       n_nodes=st.integers(2, 7),
+       kind=st.sampled_from(["undirected", "directed", "chain", "cycle"]),
+       tight=st.booleans(),
+       dt_from=st.sampled_from(["exact", "bound"]),
+       shift=st.sampled_from([-0.5, -1e-3, -1e-7, -5e-7, -1e-9, 0.0, 1e-9,
+                              5e-7, 1e-6, 1e-3, 1.0]))
+def test_stiffness_guard_warns_iff_exact_modulus_reaches_limit(
+        seed, n, n_nodes, kind, tight, dt_from, shift):
+    # dt lies on either side of 2.5 / exact modulus, or of the norm
+    # bound's own threshold 2.5 (1 - 1e-6) / bound, inside the margin band
+    # between them too; a tight draw (A and H_eff negative diagonal on a
+    # cycle, whose largest eigenvalue is ||L||_inf) makes the bound exact
+    rng = np.random.default_rng(seed)
+    lap = _guard_laplacian(kind, rng, n_nodes)
+    sigma = float(rng.uniform(0.1, 10.0))
+    if tight:
+        A = -np.diag(rng.uniform(0.0, 3.0, n))
+        H = -rng.uniform(0.1, 3.0) * np.eye(n)
+    else:
+        A = rng.normal(0, rng.uniform(0.1, 5.0), (n, n))
+        H = rng.normal(0, rng.uniform(0.1, 5.0), (n, n))
+    worst = stiffest_mode_modulus(A, H, sigma, spectrum(lap).eigenvalues)
+    bound = (np.linalg.norm(A, np.inf)
+             + sigma * np.linalg.norm(lap.matrix, np.inf)
+             * np.linalg.norm(H, np.inf))
+    assert worst <= bound * (1 + 1e-12)
+    base = (2.5 / worst if dt_from == "exact"
+            else 2.5 * (1 - 1e-6) / bound)
+    dt = base * (1 + shift)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dynamics._warn_if_stiff(A, H, sigma, lap, dt)
+    warned = any("stiffest" in str(w.message) for w in caught)
+    assert warned == (worst * dt >= 2.5)
 
 
 def test_divergence_is_flagged_not_raised():
