@@ -236,12 +236,17 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     blocks at a time; each group writes ``x = 1 xbar + e`` and the spread
     of e, and the first non-finite x truncates the run as in
     :func:`_integrate_rk4`.
+
+    The block length s is capped at ``1 + (T - 1) // m`` for T time
+    samples: doubling up to ``[Z, ..., Z^s]`` costs about ``(s - 1) m^3``
+    flops, which then stays below the ``T m^2`` of stepping the run, so a
+    short run is not charged for powers it cannot repay.
     """
     N, n = x0.shape
     D = N * n
     m = n + D
     T = times.shape[0]
-    s = max(1, min(T - 1, _BLOCK_ELEMENTS // (m * m)))
+    s = max(1, min(T - 1, _BLOCK_ELEMENTS // (m * m), 1 + (T - 1) // m))
     # powers[:, (j-1) m : j m] is Z^j; y_{k+1} = y_k Z, row convention
     powers = np.zeros((m, s * m))
     Z = powers[:, :m]

@@ -147,6 +147,12 @@ def build_laplacian(topology: Topology) -> Laplacian:
 def spectrum(lap: Laplacian) -> LaplacianSpectrum:
     """The eigenvalues of a Laplacian in a deterministic mode order.
 
+    A symmetric L (an undirected topology) is solved by the symmetric
+    eigensolver, whose spectrum is real by construction: every imaginary
+    part is exactly 0 and so is theta_max, whatever the rounding.  Any
+    other L takes the general eigensolver.  The eigenvalues are complex
+    either way.
+
     The zero tolerance, the modulus below which an eigenvalue counts as
     zero, is ``1e-9 * ||L||_inf`` with a floor of 1e-12 for the zero
     matrix.
@@ -157,11 +163,13 @@ def spectrum(lap: Laplacian) -> LaplacianSpectrum:
         If the dense eigensolver does not converge.
     """
     m = lap.matrix
+    solver = np.linalg.eigvalsh if np.array_equal(m, m.T) else np.linalg.eigvals
     try:
-        vals = np.linalg.eigvals(m)
+        vals = solver(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigendecomposition failed: {exc}") from exc
 
+    vals = vals.astype(complex, copy=False)
     vals = vals[np.lexsort((vals.imag, vals.real))]
 
     scale = np.abs(m).sum(axis=1).max()

@@ -20,7 +20,8 @@ Covers:
     scalar commutation, conjugate-closure residue gate
   - verify: closed-form mode eigenvalues for diagonal couplings, the
     2x2 trace/determinant oracle on the consensus fixture, sigma outside
-    (0, inf) rejected
+    (0, inf) rejected, and the real solve of an undirected topology's
+    mode matrices against their complex solve (N = 2..48)
   - properties: realization round-trip, design soundness over random
     instances, exact pole placement, H_paper = -H_eff and read-only
   - a property over leader-follower topologies (permuted one-way chains
@@ -587,6 +588,35 @@ def test_design_report_schema(fx1):
     assert len(report["modes"]) == 4
     assert report["hurwitz"] is True
     assert all(len(pair) == 2 for pair in report["h_entries"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 48),
+       n=st.integers(1, 6))
+def test_real_mode_solve_matches_complex_solve(seed, N, n):
+    """On an undirected topology verify solves real mode matrices; each
+    mode's largest real part matches the complex solve of the same
+    matrices to 1e-12 of the matrix norm (the scale of an eigensolver's
+    error), with the same verdict, for a design and a random coupling."""
+    rng = np.random.default_rng(seed)
+    lap_spec = spectrum(build_laplacian(random_connected_topology(rng, N)))
+    A = rng.normal(0, 1, (n, n))
+    sigma = float(rng.uniform(0.5, 2.0))
+    d = decompose(A)
+    designed = realize(design_undirected(d, lap_spec.lambda2.real,
+                                         margin=rng.uniform(0.05, 2.0),
+                                         sigma=sigma), d).H_eff
+    for H in (designed, rng.normal(0, 1, (n, n))):
+        analysis = verify(A, H, sigma, lap_spec)
+        scaled = sigma * lap_spec.eigenvalues[1:]
+        modes = A + scaled[:, None, None] * H.astype(complex)
+        ref = np.linalg.eigvals(modes).real.max(axis=1)
+        norms = np.abs(modes).sum(axis=2).max(axis=1)
+        got = np.array([r.max_real_part for r in analysis.modes])
+        assert (np.abs(got - ref) <= 1e-12 * norms).all()
+        assert analysis.overall_hurwitz == bool((ref < -1e-9).all())
+        assert all(r.eigenvalues.dtype == np.complex128
+                   for r in analysis.modes)
 
 
 @st.composite

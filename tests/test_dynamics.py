@@ -16,7 +16,8 @@ Covers:
     norm bound clears, and warning exactly when the exact modulus
     reaches the limit), step-halving sanity,
     tail log-slope matching the slowest transverse mode
-  - the linear propagator against a per-step RK4 loop, its recorded
+  - the linear propagator against a per-step RK4 loop, also on a short
+    run whose block length the run length caps, its recorded
     spread, truncation inside a block and inside a group of blocks, and
     example3's verdict at a horizon where the raw states reach 1e15
   - the nonlinear simulator's numpy path bit for bit against a per-step
@@ -282,8 +283,14 @@ def _rk4_loop(f, x0, steps, dt):
 def test_linear_simulators_match_per_step_rk4(directed):
     rng = np.random.default_rng(21 + directed)
     dt = 1e-3
-    for _ in range(4):
-        n, N = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+    # four random systems over 1000 steps, then one over 40 steps with
+    # N = 6, n = 3: its propagator of size n + N n = 21 caps the block at
+    # 1 + 40 // 21 = 2 steps instead of all 40
+    for steps in (1000,) * 4 + (40,):
+        if steps == 40:
+            n, N = 3, 6
+        else:
+            n, N = int(rng.integers(1, 4)), int(rng.integers(2, 7))
         m = int(rng.integers(1, n + 1))
         A = rng.normal(0, 1, (n, n))
         B = rng.normal(0, 1, (n, m))
@@ -294,11 +301,13 @@ def test_linear_simulators_match_per_step_rk4(directed):
         L = lap.matrix
         x0 = rng.uniform(-1, 1, (N, n))
         ref = _rk4_loop(lambda X: X @ A.T + c * (L @ X) @ (B @ K).T,
-                        x0, 1000, dt)
+                        x0, steps, dt)
+        t_end = steps * dt
         runs = (
             simulate_linear(LinearNetworkSystem(A=A, H_eff=B @ K, sigma=c,
-                                                laplacian=lap), x0, 1.0, dt),
-            simulate_agents(AgentModel(A=A, B=B, K=K, c=c), lap, x0, 1.0, dt),
+                                                laplacian=lap), x0, t_end, dt),
+            simulate_agents(AgentModel(A=A, B=B, K=K, c=c), lap, x0, t_end,
+                            dt),
         )
         for traj in runs:
             assert traj.states.shape == ref.shape and not traj.diverged

@@ -4,6 +4,11 @@ Covers:
   - L = D - A construction against hand-built and fixture matrices
   - spectrum regression: the path graph's closed-form eigenvalues
     2 - 2cos(k*pi/5), and the directed fixture's complex pair/theta_max
+  - symmetric Laplacians through the symmetric solver: complete graphs
+    with exactly zero imaginary parts and theta_max, a complex128 spectrum
+    for undirected and directed topologies, random undirected spectra
+    against the general solver, and asymmetric ones bit for bit equal to
+    the general solver's sorted spectrum
   - connectivity detection (one zero eigenvalue, rest right of it), and
     its tolerance and the spectrum's zero tolerance rejected unless
     positive and finite
@@ -26,6 +31,7 @@ import numpy as np
 import pytest
 
 from helpers import path_topology, random_connected_topology
+from hypothesis import given, settings, strategies as st
 
 from netsync import (
     InvalidInput,
@@ -120,6 +126,55 @@ def test_one_way_chain_spectrum_is_exact():
     spec = spectrum(Laplacian(L))
     assert np.array_equal(spec.eigenvalues, [0.0, 1.0, 1.0])
     assert is_connected(spec)
+
+
+@pytest.mark.parametrize("n", [11, 17, 19, 26])
+def test_complete_graph_spectrum_is_exactly_real(n):
+    # the general eigensolver returns imaginary parts of order 1e-15 on
+    # these complete graphs; a symmetric L must give exact zeros
+    w = np.ones((n, n)) - np.eye(n)
+    spec = spectrum(build_laplacian(Topology(n_nodes=n, directed=False,
+                                             weights=w)))
+    assert np.all(spec.eigenvalues.imag == 0.0)
+    assert spec.theta_max == 0.0
+    expected = np.full(n, float(n))
+    expected[0] = 0.0
+    assert np.abs(spec.eigenvalues - expected).max() <= 1e-12 * n
+
+
+def test_spectrum_eigenvalues_are_complex():
+    chain = Laplacian(np.array([[0., 0., 0.], [-1., 1., 0.], [0., -1., 1.]]))
+    for lap in (build_laplacian(path_topology(5)), chain):
+        spec = spectrum(lap)
+        assert spec.eigenvalues.dtype == np.complex128
+        assert isinstance(spec.lambda2, complex)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 48))
+def test_symmetric_spectrum_matches_general_solver(seed, n):
+    rng = np.random.default_rng(seed)
+    m = build_laplacian(random_connected_topology(rng, n)).matrix
+    spec = spectrum(Laplacian(m))
+    general = np.linalg.eigvals(m).astype(complex)
+    general = general[np.argsort(general.real, kind="stable")]
+    scale = np.abs(m).sum(axis=1).max()
+    assert np.all(spec.eigenvalues.imag == 0.0) and spec.theta_max == 0.0
+    assert np.abs(spec.eigenvalues - general).max() <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 48))
+def test_asymmetric_spectrum_is_the_general_solvers(seed, n):
+    rng = np.random.default_rng(seed)
+    m = build_laplacian(
+        random_connected_topology(rng, n, directed=True)).matrix
+    assert not np.array_equal(m, m.T)
+    vals = np.linalg.eigvals(m).astype(complex)
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    spec = spectrum(Laplacian(m))
+    assert np.array_equal(spec.eigenvalues.view(np.float64),
+                          vals.view(np.float64))
 
 
 # ── is_connected ─────────────────────────────────────────────────────────────
