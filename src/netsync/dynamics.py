@@ -12,10 +12,12 @@ Three simulators, all classical fixed-step 4th-order Runge-Kutta
   cross-check rather than a tautology;
 * :func:`simulate_nonlinear`, node dynamics F with diffusive
   state-dependent coupling ``sum_j G_ij M(x_j) x_j`` over a zero-row-sum
-  connection matrix G (the chaotic three-oscillator probe lives here).
+  connection matrix G, M a callable or, when constant, the matrix itself
+  (the chaotic three-oscillator probe lives here).
 
 The nonlinear simulator steps RK4 one state at a time, in Python floats
-for every three-oscillator Rossler probe, whatever its coupling.  The
+for every three-oscillator Rossler probe, whatever its coupling: one
+closure computes the coupling and the field of each stage.  The
 two linear simulators share a propagator instead: one RK4 step of the
 simulator's own right-hand side, taken from a basis, is the linear
 one-step map; rewritten in node-mean / disagreement coordinates (the
@@ -522,16 +524,22 @@ class NonlinearNetworkSystem:
     node_dynamics maps a state to its uncoupled derivative;
     coupling_matrix_fn maps the transmitting node's state x_j to the
     matrix M(x_j) applied to that same state, so node i receives
-    ``sum_j G_ij M(x_j) x_j``.  G must have zero row sums (the coupling
-    vanishes on the synchronization manifold); unlike a Laplacian its
-    off-diagonal entries may take either sign.
+    ``sum_j G_ij M(x_j) x_j``.  A constant coupling may be given as the
+    matrix itself: a finite (n, n) array-like, stored as a float array
+    (DimensionMismatch unless square, InvalidInput unless finite).  G
+    must have zero row sums (the coupling vanishes on the synchronization
+    manifold); unlike a Laplacian its off-diagonal entries may take
+    either sign.
     """
 
     node_dynamics: Callable[[np.ndarray], np.ndarray]
-    coupling_matrix_fn: Callable[[np.ndarray], np.ndarray]
+    coupling_matrix_fn: Callable[[np.ndarray], np.ndarray] | np.ndarray
     connection: np.ndarray
 
     def __post_init__(self):
+        if not callable(self.coupling_matrix_fn):
+            M, = _square_matrices("coupling matrix", self.coupling_matrix_fn)
+            object.__setattr__(self, "coupling_matrix_fn", M)
         G, = _square_matrices("connection", self.connection)
         # a row sum that overflows fails too
         with np.errstate(over="ignore"):
@@ -555,7 +563,8 @@ def build_three_oscillator(eps: float, delta: float, coupling_matrix_fn,
     its eigenvalues are {0, -eps + i*delta, -eps - i*delta}, so eps sets
     the transverse damping and delta the rotation of the two transverse
     modes.  eps, delta, a, b and c are taken as floats; each must be a
-    finite real.
+    finite real.  coupling_matrix_fn is a callable M(x_j) or a constant
+    (3, 3) matrix, as :class:`NonlinearNetworkSystem` takes it.
     """
     values = [np.asarray(v) for v in (eps, delta, a, b, c)]
     if not all(v.shape == () and v.dtype.kind in "biuf" and np.isfinite(v)
@@ -609,15 +618,18 @@ def _batched_or_loop(fn, x0: np.ndarray, shape: tuple):
 
 
 def _make_nonlinear_rhs(sys: NonlinearNetworkSystem, x0: np.ndarray):
-    """RHS closure, evaluating node_dynamics and coupling_matrix_fn
-    batched where :func:`_batched_or_loop` finds that safe."""
+    """RHS closure, evaluating node_dynamics and a coupling callable
+    batched where :func:`_batched_or_loop` finds that safe; a coupling
+    matrix multiplies the stack of states directly."""
     N, n = x0.shape
-    G = sys.connection
+    G, M = sys.connection, sys.coupling_matrix_fn
     f_eval = _batched_or_loop(sys.node_dynamics, x0, (N, n))
-    m_eval = _batched_or_loop(sys.coupling_matrix_fn, x0, (N, n, n))
+    m_eval = (None if isinstance(M, np.ndarray)
+              else _batched_or_loop(M, x0, (N, n, n)))
 
     def rhs(X):
-        out = G @ np.einsum("jab,jb->ja", m_eval(X), X)
+        out = G @ (X @ M.T if m_eval is None
+                   else np.einsum("jab,jb->ja", m_eval(X), X))
         out += f_eval(X)
         return out
 
@@ -625,61 +637,72 @@ def _make_nonlinear_rhs(sys: NonlinearNetworkSystem, x0: np.ndarray):
 
 
 def _probe_coefficients(sys: NonlinearNetworkSystem, initial: np.ndarray):
-    """``(a, b, c, G, sent)`` when sys is a probe of
-    :func:`build_three_oscillator` and initial is (3, 3), else None: a, b
-    and c as the probe stores them, Python floats, G as a flat row-major
-    list, and ``sent``, which maps the 9 floats of a state to the 9
-    floats ``M(x_j) x_j`` that the nodes send.  A coupling of
-    :func:`design_nonlinear_coupling` over the Rossler Phi2 sends its
-    closed form ``Psi1 x_j - (2/kappa)(0, 0, x_j z_j)``, since
-    ``Phi2(x) x = (0, 0, 2 x z)``; any other is called once per stage on
-    a fresh (3, 3) array, batched or per node as :func:`_batched_or_loop`
-    decides, so a callable that keeps its argument never sees it change."""
+    """The right-hand side of :func:`_integrate_probe` when sys is a probe
+    of :func:`build_three_oscillator` and initial is (3, 3), else None:
+    one closure from the 9 floats of a state to the 9 floats of
+    ``dx_i = F(x_i) + sum_j G_ij M(x_j) x_j``, all in Python floats.
+
+    A coupling of :func:`design_nonlinear_coupling` over the Rossler Phi2
+    enters in closed form, ``M(x) x = Psi1 x - k (0, 0, x z)`` with
+    ``k = 2/kappa``, since ``Phi2(x) x = (0, 0, 2 x z)``; a coupling matrix
+    enters as that form with Psi1 the matrix and k = 0, which is M x
+    summed left to right wherever x z is finite.  Any other callable
+    is called once per stage on a fresh (3, 3) array, batched or per node
+    as :func:`_batched_or_loop` decides, so a callable that keeps its
+    argument never sees it change, and each ``M(x_j) x_j`` is summed left
+    to right."""
     f, m, G = sys.node_dynamics, sys.coupling_matrix_fn, sys.connection
     if not (isinstance(f, functools.partial) and f.func is _rossler_node
             and G.shape == initial.shape == (3, 3)):
         return None
-    if (isinstance(m, functools.partial)
-            and m.func is _designed_coupling_matrix
-            and m.args[0].Phi2 is _rossler_phi2
-            and m.args[0].Psi1.shape == (3, 3)):
-        p00, p01, p02, p10, p11, p12, p20, p21, p22 = (
-            m.args[0].Psi1.ravel().tolist())
-        k = 2.0 / float(m.args[0].kappa)
+    a, b, c = f.args
+    g00, g01, g02, g10, g11, g12, g20, g21, g22 = G.ravel().tolist()
+    designed = (isinstance(m, functools.partial)
+                and m.func is _designed_coupling_matrix
+                and m.args[0].Phi2 is _rossler_phi2
+                and m.args[0].Psi1.shape == (3, 3))
+    if designed or isinstance(m, np.ndarray):
+        P, k = ((m.args[0].Psi1, 2.0 / float(m.args[0].kappa)) if designed
+                else (m, 0.0))
+        p00, p01, p02, p10, p11, p12, p20, p21, p22 = P.ravel().tolist()
 
-        def sent(x0, y0, z0, x1, y1, z1, x2, y2, z2):
-            return (p00 * x0 + p01 * y0 + p02 * z0,
-                    p10 * x0 + p11 * y0 + p12 * z0,
-                    p20 * x0 + p21 * y0 + p22 * z0 - k * (x0 * z0),
-                    p00 * x1 + p01 * y1 + p02 * z1,
-                    p10 * x1 + p11 * y1 + p12 * z1,
-                    p20 * x1 + p21 * y1 + p22 * z1 - k * (x1 * z1),
-                    p00 * x2 + p01 * y2 + p02 * z2,
-                    p10 * x2 + p11 * y2 + p12 * z2,
-                    p20 * x2 + p21 * y2 + p22 * z2 - k * (x2 * z2))
-    else:
-        m_eval = _batched_or_loop(m, initial, (3, 3, 3))
-
-        def sent(*state):
-            X = np.array(state).reshape(3, 3)
-            return np.matmul(m_eval(X), X[:, :, None]).ravel().tolist()
-    return (*f.args, G.ravel().tolist(), sent)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _integrate_probe(coefficients, initial: np.ndarray,
-                     times: np.ndarray) -> tuple:
-    """:func:`_integrate_rk4` of a three-oscillator Rossler probe, in
-    Python floats: the same grid, stages and truncation, and the
-    right-hand side ``dx_i = F(x_i) + sum_j G_ij s_j`` over what the nodes
-    send, ``s = sent(x)`` of :func:`_probe_coefficients`.  Faster than
-    numpy on 3x3 arrays; it rounds the coupling sums differently."""
-    a, b, c, G, sent = coefficients
-    g00, g01, g02, g10, g11, g12, g20, g21, g22 = G
+        def rhs(x0, y0, z0, x1, y1, z1, x2, y2, z2):
+            u0 = p00 * x0 + p01 * y0 + p02 * z0
+            v0 = p10 * x0 + p11 * y0 + p12 * z0
+            w0 = p20 * x0 + p21 * y0 + p22 * z0 - k * (x0 * z0)
+            u1 = p00 * x1 + p01 * y1 + p02 * z1
+            v1 = p10 * x1 + p11 * y1 + p12 * z1
+            w1 = p20 * x1 + p21 * y1 + p22 * z1 - k * (x1 * z1)
+            u2 = p00 * x2 + p01 * y2 + p02 * z2
+            v2 = p10 * x2 + p11 * y2 + p12 * z2
+            w2 = p20 * x2 + p21 * y2 + p22 * z2 - k * (x2 * z2)
+            return (g00 * u0 + g01 * u1 + g02 * u2 - (y0 + z0),
+                    g00 * v0 + g01 * v1 + g02 * v2 + (x0 + a * y0),
+                    g00 * w0 + g01 * w1 + g02 * w2 + (b + z0 * (x0 - c)),
+                    g10 * u0 + g11 * u1 + g12 * u2 - (y1 + z1),
+                    g10 * v0 + g11 * v1 + g12 * v2 + (x1 + a * y1),
+                    g10 * w0 + g11 * w1 + g12 * w2 + (b + z1 * (x1 - c)),
+                    g20 * u0 + g21 * u1 + g22 * u2 - (y2 + z2),
+                    g20 * v0 + g21 * v1 + g22 * v2 + (x2 + a * y2),
+                    g20 * w0 + g21 * w1 + g22 * w2 + (b + z2 * (x2 - c)))
+        return rhs
+    m_eval, array = _batched_or_loop(m, initial, (3, 3, 3)), np.array
 
     def rhs(x0, y0, z0, x1, y1, z1, x2, y2, z2):
-        u0, v0, w0, u1, v1, w1, u2, v2, w2 = sent(
-            x0, y0, z0, x1, y1, z1, x2, y2, z2)
+        X = array((x0, y0, z0, x1, y1, z1, x2, y2, z2)).reshape(3, 3)
+        (m00, m01, m02, m10, m11, m12, m20, m21, m22,
+         n00, n01, n02, n10, n11, n12, n20, n21, n22,
+         o00, o01, o02, o10, o11, o12, o20, o21, o22) = (
+             m_eval(X).ravel().tolist())
+        u0 = m00 * x0 + m01 * y0 + m02 * z0
+        v0 = m10 * x0 + m11 * y0 + m12 * z0
+        w0 = m20 * x0 + m21 * y0 + m22 * z0
+        u1 = n00 * x1 + n01 * y1 + n02 * z1
+        v1 = n10 * x1 + n11 * y1 + n12 * z1
+        w1 = n20 * x1 + n21 * y1 + n22 * z1
+        u2 = o00 * x2 + o01 * y2 + o02 * z2
+        v2 = o10 * x2 + o11 * y2 + o12 * z2
+        w2 = o20 * x2 + o21 * y2 + o22 * z2
         return (g00 * u0 + g01 * u1 + g02 * u2 - (y0 + z0),
                 g00 * v0 + g01 * v1 + g02 * v2 + (x0 + a * y0),
                 g00 * w0 + g01 * w1 + g02 * w2 + (b + z0 * (x0 - c)),
@@ -689,7 +712,15 @@ def _integrate_probe(coefficients, initial: np.ndarray,
                 g20 * u0 + g21 * u1 + g22 * u2 - (y2 + z2),
                 g20 * v0 + g21 * v1 + g22 * v2 + (x2 + a * y2),
                 g20 * w0 + g21 * w1 + g22 * w2 + (b + z2 * (x2 - c)))
+    return rhs
 
+
+@np.errstate(over="ignore", invalid="ignore")
+def _integrate_probe(rhs, initial: np.ndarray, times: np.ndarray) -> tuple:
+    """:func:`_integrate_rk4` of a three-oscillator Rossler probe, in
+    Python floats: the same grid, stages and truncation, over the
+    right-hand side of :func:`_probe_coefficients`.  Faster than numpy on
+    3x3 arrays; it rounds the coupling sums differently."""
     dt = float(times[1] - times[0])
     h, sixth = 0.5 * dt, dt / 6.0
     out = np.empty((times.shape[0], 3, 3))
@@ -732,18 +763,21 @@ def simulate_nonlinear(sys: NonlinearNetworkSystem, x0, t_end: float,
                        dt: float = 1e-3) -> Trajectory:
     """Integrate dx_i/dt = F(x_i) + sum_j G_ij M(x_j) x_j with fixed-step
     RK4.  Deterministic for fixed inputs; divergence truncates and flags.
+    A coupling matrix whose width does not fit x0 is DimensionMismatch.
 
     Every probe that :func:`build_three_oscillator` builds steps in Python
-    floats (:func:`_integrate_probe`), whatever its coupling: the coupling
-    callable is called once per stage, or its closed form used when it is
-    :func:`design_nonlinear_coupling` over the Phi2 of
-    :func:`rossler_jacobian_parts`.  Every other system steps its
-    callables on numpy arrays."""
-    x0 = _check_x0(x0, sys.n_nodes)
+    floats (:func:`_integrate_probe`), whatever its coupling: a coupling
+    matrix, or :func:`design_nonlinear_coupling` over the Phi2 of
+    :func:`rossler_jacobian_parts`, enters in closed form, and any other
+    callable is called once per stage and its products summed left to
+    right.  Every other system steps on numpy arrays."""
+    M = sys.coupling_matrix_fn
+    x0 = _check_x0(x0, sys.n_nodes,
+                   M.shape[0] if isinstance(M, np.ndarray) else None)
     times = _time_grid(t_end, dt)
-    coefficients = _probe_coefficients(sys, x0)
-    if coefficients is not None:
-        return Trajectory(*_integrate_probe(coefficients, x0, times))
+    rhs = _probe_coefficients(sys, x0)
+    if rhs is not None:
+        return Trajectory(*_integrate_probe(rhs, x0, times))
     rhs = _make_nonlinear_rhs(sys, x0)
     return Trajectory(*_integrate_rk4(rhs, x0, times))
 

@@ -345,16 +345,16 @@ def run_rossler(baseline: bool = False, eps: float | None = None,
     """Chaotic three-oscillator probe.
 
     ``baseline=True`` couples through the constant output selector
-    (second component only); the designed run uses the state-dependent
-    coupling.  eps defaults to the weak level at which the baseline is
-    contracted to fail and the design to hold the pairwise error below
-    5% of the RMS amplitude beyond t = 60.  Synchronization is judged
-    against a tolerance of 5% of the trajectory's RMS amplitude.
+    (second component only), passed as its matrix; the designed run uses
+    the state-dependent coupling.  eps defaults to the weak level at
+    which the baseline is contracted to fail and the design to hold the
+    pairwise error below 5% of the RMS amplitude beyond t = 60.
+    Synchronization is judged against a tolerance of 5% of the
+    trajectory's RMS amplitude.
     """
     fx = load_fixture("rossler")
     eps_value = float(fx["eps_weak"] if eps is None else eps)
-    selector = np.array(fx["selector_coupling"], dtype=float)
-    coupling = ((lambda state: selector) if baseline   # one node's matrix
+    coupling = (fx["selector_coupling"] if baseline
                 else designed_rossler_coupling(eps_value, fx))
 
     sys = build_three_oscillator(eps_value, fx["delta"], coupling,

@@ -31,10 +31,11 @@
 
 Run ``pytest -s tests/test_acceptance.py`` for one PASS/FAIL line per
 criterion.  The six chaotic runs over a 100 s horizon take most of this
-file's 38 s on a shared 2-vCPU VM (criteria 10 and 9 set up in 22 s and
-14 s).  All six step the same Python-float kernel; there the four
-selector-baseline runs took 4.0-5.7 s each at dt = 1e-3 and 8.1-8.7 s
-each at dt = 5e-4, and the two designed runs 1.4 s and 2.0 s.
+file's 8 s on a shared 2-vCPU VM (criteria 10 and 9 set up in 4.7 s and
+2.2 s).  All six step the same Python-float kernel, the four
+selector-baseline runs through the selector matrix; there they took
+0.9-1.2 s each at dt = 1e-3 and 1.7-2.1 s each at dt = 5e-4, and the
+two designed runs 0.9-1.1 s and 1.8-2.2 s.
 """
 
 from contextlib import contextmanager

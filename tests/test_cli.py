@@ -409,7 +409,7 @@ def test_reproduce_example1_writes_artifacts(tmp_path, capsys):
     assert report["converged"] is True
 
 
-# the selector baseline steps the float kernel through its coupling callable
+# the selector baseline steps the float kernel through its coupling matrix
 @pytest.mark.parametrize("args, scenario", [
     (["example4", "--t-end", "30.0"], "example4"),
     (["rossler-baseline", "--t-end", "5"], "rossler-baseline")],

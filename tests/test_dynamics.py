@@ -26,10 +26,16 @@ Covers:
   - the three-oscillator probe's float kernel: taken by every probe of
     build_three_oscillator, bit for bit against a
     Python-float RK4 under the designed closed form, the fixture
-    selector, a dense constant and a per-node coupling, within 1e-12
-    relative of the numpy path for both fixture couplings, diverging at
-    the same step, handing the coupling a fresh array at every stage and
-    passing its exception on unchanged
+    selector, a dense constant and a per-node coupling (the last two
+    summed left to right), the constant ones also passed as matrices,
+    within 1e-12 relative of the numpy path for both fixture couplings
+    and for the selector and a dense matrix, diverging at the same step,
+    handing the coupling a fresh array at every stage and passing its
+    exception on unchanged
+  - a coupling matrix: the rossler-baseline run passing the selector
+    matrix and keeping the states of ``lambda state: selector``, a
+    malformed or non-finite matrix failing at construction and a list
+    stored as floats, a matrix that does not fit x0 failing in the run
   - time-grid validation, NaN in the positive-scalar checks, non-finite
     inputs rejected with no warning (also by the design and duality
     functions), probe parameters that are not finite reals, malformed
@@ -103,7 +109,7 @@ from netsync import (
     verify,
     write_trajectory_csv,
 )
-from netsync import dynamics
+from netsync import dynamics, scenarios
 from netsync.coupling import stiffest_mode_modulus
 from netsync.dynamics import _CHUNK_ELEMENTS
 from netsync.scenarios import (
@@ -111,6 +117,7 @@ from netsync.scenarios import (
     designed_rossler_coupling,
     load_fixture,
     run_example3,
+    run_rossler,
 )
 
 PAIR_LAPLACIAN = Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -653,11 +660,25 @@ def _closed_form_sent(Psi1, kappa):
 
 def _matmul_sent(M):
     """What the nodes send under the coupling M, one node at a time:
-    np.matmul of the stacked M(x_j) and x_j, as the kernel forms it."""
+    np.matmul of the stacked M(x_j) and x_j.  The kernel sums each
+    M(x_j) x_j left to right, which rounds as this does whenever every
+    row of M(x_j) has at most one nonzero entry, as the selector's does."""
     def sent(X):
         X = np.array(X).reshape(3, 3)
         return np.matmul(np.array([M(x) for x in X]),
                          X[:, :, None]).ravel().tolist()
+
+    return sent
+
+
+def _float_sent(M):
+    """What the nodes send under the coupling M, one node at a time, as
+    the kernel forms it: the entries of M(x_j) as Python floats, each
+    row times x_j summed left to right."""
+    def sent(X):
+        return [r0 * x + r1 * y + r2 * z
+                for x, y, z in zip(X[::3], X[1::3], X[2::3])
+                for r0, r1, r2 in np.asarray(M(np.array([x, y, z]))).tolist()]
 
     return sent
 
@@ -676,25 +697,37 @@ def _state_dependent_per_node(state):
                      [0.5 * z, 0.0, -1.0]])
 
 
-# each coupling at dt = 0.015 and at a dt where its run overflows
+# each coupling at dt = 0.015 and at a dt where its run overflows; the
+# constant ones both as a callable and as the matrix itself
 @pytest.mark.parametrize("case, dt", [
     ("selector", 0.015), ("selector", 0.25), ("dense", 0.015),
-    ("dense", 0.03), ("per-node", 0.015), ("per-node", 0.03)])
+    ("dense", 0.03), ("per-node", 0.015), ("per-node", 0.03),
+    ("selector-matrix", 0.015), ("selector-matrix", 0.25),
+    ("dense-matrix", 0.015), ("dense-matrix", 0.03)])
 def test_probe_kernel_equals_float_rk4(case, dt):
     # non-default a, b, c exercise every coefficient of the kernel's field
     a, b, c = 0.3, 0.1, 5.5
-    coupling = {
-        "selector": _constant_coupling(
-            np.array(load_fixture("rossler")["selector_coupling"])),
-        "dense": _constant_coupling(
-            np.random.default_rng(42).normal(0.0, 1.0, (3, 3))),
-        "per-node": _state_dependent_per_node,
+    selector = np.array(load_fixture("rossler")["selector_coupling"],
+                        dtype=float)
+    dense = np.random.default_rng(42).normal(0.0, 1.0, (3, 3))
+    # the selector keeps its bits against np.matmul; the other couplings
+    # are summed left to right, as the kernel sums them
+    coupling, sent = {
+        "selector": (_constant_coupling(selector),
+                     _matmul_sent(_constant_coupling(selector))),
+        "dense": (_constant_coupling(dense),
+                  _float_sent(_constant_coupling(dense))),
+        "per-node": (_state_dependent_per_node,
+                     _float_sent(_state_dependent_per_node)),
+        "selector-matrix": (selector,
+                            _matmul_sent(_constant_coupling(selector))),
+        "dense-matrix": (dense, _float_sent(_constant_coupling(dense))),
     }[case]
     x0 = np.ones((3, 3)) + np.random.default_rng(44).uniform(-0.5, 0.5,
                                                              (3, 3))
     traj = _assert_kernel_equals_float_rk4(
-        build_three_oscillator(0.4, 0.9, coupling, a=a, b=b, c=c),
-        _matmul_sent(coupling), x0, dt)
+        build_three_oscillator(0.4, 0.9, coupling, a=a, b=b, c=c), sent, x0,
+        dt)
     assert traj.diverged == (dt != 0.015)
 
 
@@ -770,6 +803,9 @@ def test_probe_kernel_path_selection(monkeypatch):
                                 probe.connection), 0),
         (build_three_oscillator(0.3, 1.0, designed, a=np.array(0.2)), 1),
         (build_three_oscillator(0.3, 1.0, selector, a=np.array(0.2)), 1),
+        (build_three_oscillator(0.3, 1.0, -np.eye(3)), 1),
+        (NonlinearNetworkSystem(rossler_vector_field, -np.eye(3),
+                                probe.connection), 0),
     ]
     x0 = np.ones((3, 3))
     for sys, taken in expected:
@@ -827,6 +863,17 @@ def test_node_width_that_does_not_fit_is_dimension_mismatch(width):
                     NonlinearNetworkSystem(_wide_node, designed, connection)):
             with pytest.raises(DimensionMismatch):
                 simulate_nonlinear(sys, np.ones((3, width)), 0.01, 1e-3)
+        # a coupling matrix whose width does not fit x0, on the float
+        # kernel's system and on the numpy path
+        for sys, x0 in (
+                (build_three_oscillator(0.3, 1.0, -np.eye(width)),
+                 np.ones((3, 3))),
+                (NonlinearNetworkSystem(_wide_node, -np.eye(3), connection),
+                 np.ones((3, width))),
+                (NonlinearNetworkSystem(_wide_node, -np.eye(width),
+                                        connection), np.ones((3, 3)))):
+            with pytest.raises(DimensionMismatch, match="x0 must be"):
+                simulate_nonlinear(sys, x0, 0.01, 1e-3)
         # 3-wide states whose coupling maps one node to a matrix of another
         # size, on the float kernel and on the numpy path
         for sys in (build_three_oscillator(0.3, 1.0, lambda s: np.eye(2)),
@@ -881,6 +928,67 @@ def test_designed_probe_diverges_at_the_same_step_on_both_paths():
 def test_selector_probe_diverges_at_the_same_step_on_both_paths():
     _assert_diverges_at_the_same_step_on_both_paths(
         *_probe_pair(load_fixture("rossler")["eps_weak"], baseline=True))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 3.0])
+def test_matrix_probe_kernel_matches_numpy_path(eps):
+    # the fixture's selector and a dense matrix; on the numpy path the
+    # matrix multiplies the stack of states directly
+    fx = load_fixture("rossler")
+    for M in (np.array(fx["selector_coupling"], dtype=float),
+              np.random.default_rng(36).normal(0.0, 1.0, (3, 3))):
+        probe = build_three_oscillator(eps, fx["delta"], M)
+        _assert_kernel_matches_numpy_path(probe, NonlinearNetworkSystem(
+            rossler_vector_field, M, probe.connection))
+
+
+def test_rossler_baseline_passes_the_selector_matrix(monkeypatch):
+    # reproduce rossler-baseline couples through the selector matrix and
+    # keeps the states of the probe built with lambda state: selector
+    systems = []
+    monkeypatch.setattr(
+        scenarios, "simulate_nonlinear",
+        lambda sys, *args: systems.append(sys) or simulate_nonlinear(
+            sys, *args))
+    traj = run_rossler(baseline=True, t_end=2.0).trajectories["baseline"]
+    fx = load_fixture("rossler")
+    selector = np.array(fx["selector_coupling"], dtype=float)
+    sys, = systems
+    assert np.array_equal(sys.coupling_matrix_fn, selector)
+    rng = np.random.default_rng(scenarios.DEFAULT_SEED)
+    x0 = (np.array(fx["initial_center"])
+          + rng.uniform(-fx["initial_spread"], fx["initial_spread"], (3, 3)))
+    callable_probe = build_three_oscillator(
+        fx["eps_weak"], fx["delta"], lambda state: selector,
+        a=fx["a"], b=fx["b"], c=fx["c"])
+    assert traj.times.shape == (2001,)
+    assert np.array_equal(
+        traj.states, simulate_nonlinear(callable_probe, x0, 2.0).states)
+
+
+@pytest.mark.parametrize("matrix, error", [
+    (np.ones(3), DimensionMismatch), (np.ones((3, 3, 3)), DimensionMismatch),
+    (np.ones((3, 2)), DimensionMismatch),
+    ([[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]],
+     InvalidInput),
+    ([[1.0, 0.0], [0.0, np.inf]], InvalidInput)],
+    ids=["vector", "stack", "non-square", "nan", "inf"])
+def test_malformed_coupling_matrix_fails_at_construction(matrix, error):
+    connection = build_three_oscillator(0.3, 1.0, -np.eye(3)).connection
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="coupling matrix"):
+            build_three_oscillator(0.3, 1.0, matrix)
+        with pytest.raises(error, match="coupling matrix"):
+            NonlinearNetworkSystem(rossler_vector_field, matrix, connection)
+
+
+def test_coupling_matrix_is_stored_as_floats():
+    probe = build_three_oscillator(0.3, 1.0, [[0, 0, 0], [0, 1, 0],
+                                              [0, 0, 0]])
+    M = probe.coupling_matrix_fn
+    assert isinstance(M, np.ndarray) and M.dtype == np.float64
+    assert M.shape == (3, 3) and M[1, 1] == 1.0 and M.sum() == 1.0
 
 
 def test_probe_kernel_hands_coupling_a_fresh_state():
