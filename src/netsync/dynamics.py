@@ -18,16 +18,23 @@ Three simulators, all classical fixed-step 4th-order Runge-Kutta
 The nonlinear simulator steps RK4 one state at a time, in Python floats
 for every three-oscillator Rossler probe, whatever its coupling: one
 closure computes the coupling and the field of each stage.  The
-two linear simulators share a propagator instead: one RK4 step of the
-simulator's own right-hand side, taken from a basis, is the linear
-one-step map; rewritten in node-mean / disagreement coordinates (the
-synchronous and transverse modes) its powers advance the run a block of
-steps per matrix product.  The disagreement evolves in a closed block,
-so the cross-node spread the metrics read stays at its own scale when
-the common mode grows without bound.
+two linear simulators share propagators instead: one RK4 step of the
+simulator's own right-hand side, taken from probe states, gives the
+linear one-step maps, whose powers advance the run a block of steps per
+matrix product.  On a symmetric Laplacian ``L = U diag(lambda) U^T`` the
+network splits into the node mean and N - 1 independent n x n modes,
+one per eigenvector orthogonal to 1 (the master-stability split), and
+2n probe states give all N maps.  Any other Laplacian steps the dense
+map of the whole state, rewritten in node-mean / disagreement
+coordinates.  Either way
+the disagreement evolves on its own, so the cross-node spread the
+metrics read stays at its own scale when the common mode grows without
+bound.
 
 A non-finite state truncates the trajectory at the last finite step and
-flags it; a divergent run still produces a synchronization report.
+flags it; a divergent run still produces a synchronization report.  A
+symmetric run that turns non-finite is redone on the dense path, which
+truncates it.
 """
 
 from __future__ import annotations
@@ -222,14 +229,139 @@ def _integrate_rk4(rhs: Callable[[np.ndarray], np.ndarray],
     return times, out, False
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
-                      x0: np.ndarray, times: np.ndarray) -> Trajectory:
-    """RK4 over a uniform grid for a linear, zero-row-sum coupled network.
+                      L: np.ndarray, x0: np.ndarray,
+                      times: np.ndarray) -> Trajectory:
+    """RK4 over a uniform grid for a linear network coupled through L.
 
     rhs must be linear, accept a leading batch axis, and vanish on the
-    coupling of identical rows (``L 1 = 0``).  Its RK4 one-step map is
-    built by stepping basis states with :func:`_integrate_rk4`, then
+    coupling of identical rows (``L 1 = 0``); the RK4 one-step maps come
+    from stepping probe states through it with :func:`_integrate_rk4`,
+    so each simulator is checked by its own right-hand side.  A symmetric
+    L steps mode by mode (:func:`_step_modes`); any other L, or a
+    symmetric run whose states turn non-finite, steps the dense
+    propagator (:func:`_step_dense`), which truncates the run at its
+    last finite state.  A modal coordinate holds up to sqrt(N) times the
+    largest disagreement, so near the largest float the modes can
+    overflow a step or two before the node states do; the redo keeps
+    the truncation at the states' own last finite step.
+    """
+    if np.array_equal(L, L.T):
+        traj = _step_modes(rhs, L, x0, times)
+        if traj is not None:
+            return traj
+    return _step_dense(rhs, x0, times)
+
+
+def _block_length(T: int, size: int, elements: int) -> int:
+    """Steps per block for T time samples, one-step maps of size x size
+    and ``elements`` entries of stacked maps per step of the block.
+
+    Doubling up to ``[Z, ..., Z^s]`` costs about ``(s - 1) size^3``
+    flops per map, which then stays below the ``T size^2`` of stepping
+    the run, so a short run is not charged for powers it cannot repay;
+    the stack of powers stays within ``_BLOCK_ELEMENTS``.
+    """
+    return max(1, min(T - 1, _BLOCK_ELEMENTS // elements,
+                      1 + (T - 1) // size))
+
+
+def _fill_powers(powers: np.ndarray, s: int, m: int) -> None:
+    """Fill ``powers[..., (j-1) m : j m] = Z^j`` for j up to s from
+    ``Z = powers[..., :m]`` by doubling."""
+    j = 1
+    while j < s:
+        r = min(j, s - j)
+        powers[..., j * m:(j + r) * m] = (powers[..., (j - 1) * m:j * m]
+                                          @ powers[..., :r * m])
+        j += r
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
+                x0: np.ndarray, times: np.ndarray) -> Trajectory | None:
+    """The run of a symmetric L in modal coordinates; None when a map or
+    a state is not finite.
+
+    With ``L = U diag(lambda) U^T``, the network splits into the node
+    mean and N - 1 independent n x n systems, one per eigenvector
+    orthogonal to 1 (a disconnected graph keeps its other zero modes).
+    U holds those N - 1 eigenvectors, so the common mode has no
+    coordinate in y: were it there, the rounding of a large node mean
+    would grow with the mean and swamp the spread.  Two sets of n probe
+    states give every one-step map: ``1 e_i^T`` steps the node mean, so
+    the mean of its step is row i of the mean's map Z_0; ``(U 1) e_i^T``
+    has every modal coordinate ``e_i^T``, so row k of ``U^T`` times its
+    step is row i of mode k's map Z_k.  The node mean steps by Z_0 and
+    the disagreement's coordinates ``y = U^T (x0 - 1 xbar)`` by the Z_k,
+    a block of s steps per product with ``[Z, ..., Z^s]``, a group of
+    blocks at a time; each group writes ``x = 1 xbar + U y`` and the
+    spread of ``U y``, so the metrics read the disagreement at its own
+    scale.
+    """
+    N, n = x0.shape
+    T = times.shape[0]
+    # shifted by this multiple of 1 1^T / N, 1 / sqrt(N) has an eigenvalue
+    # above all of L's (they lie within ||L||_inf of 0), so eigh puts it
+    # last, separated, and the other columns are orthogonal to 1
+    shift = 1.0 + 2.0 * _inf_norm(L)
+    if not math.isfinite(shift):    # LAPACK is not asked to solve infs
+        return None
+    U = np.linalg.eigh(L + shift / N)[1][:, :-1]
+    probes = np.zeros((2, n, N, n))
+    diagonal = np.arange(n)
+    probes[0, diagonal, :, diagonal] = 1.0
+    probes[1, diagonal, :, diagonal] = U.sum(axis=1)
+    _, step, diverged = _integrate_rk4(rhs, probes.reshape(2 * n, N, n),
+                                       times[:2])
+    if diverged:
+        return None
+    step = step[1].reshape(2, n, N, n)
+    s = _block_length(T, n, N * n * n)
+    # powers[0] holds the mean's powers, powers[1 + k] mode k's
+    powers = np.zeros((N, n, s * n))
+    powers[0, :, :n] = step[0].mean(axis=1)
+    powers[1:, :, :n] = (U.T @ step[1]).transpose(1, 0, 2)
+    _fill_powers(powers, s, n)
+
+    states = np.empty((T, N, n))
+    spread = np.empty((T, n))
+    mean = x0.mean(axis=0)
+    e = x0 - mean
+    states[0] = x0
+    spread[0] = e.max(axis=0) - e.min(axis=0)
+    # coords[:, :n] is (xbar, y); the blocks of a group fill the rest
+    g = max(1, _CHUNK_ELEMENTS // (s * N * n))
+    coords = np.empty((N, (g * s + 1) * n))
+    coords[0, :n] = mean
+    coords[1:, :n] = U.T @ e
+    disagreement = np.empty((N, g * s * n))
+    k = 0
+    while k < T - 1:
+        b = min(g * s, T - 1 - k)
+        for j in range(0, b, s):
+            np.matmul(coords[:, None, j * n:(j + 1) * n], powers,
+                      out=coords[:, None, (j + 1) * n:(j + 1 + s) * n])
+        e = np.matmul(U, coords[1:, n:(b + 1) * n],
+                      out=disagreement[:, :b * n]).reshape(N, b, n)
+        x = states[k + 1:k + 1 + b]
+        np.add(coords[0, n:(b + 1) * n].reshape(b, 1, n),
+               e.transpose(1, 0, 2), out=x)
+        if not np.isfinite(x).all():
+            return None
+        # the node axis leads e, so max and min run over contiguous rows
+        spread[k + 1:k + 1 + b] = e.max(axis=0) - e.min(axis=0)
+        coords[:, :n] = coords[:, b * n:(b + 1) * n]
+        k += b
+    return Trajectory(times=times, states=states, spread=spread)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _step_dense(rhs: Callable[[np.ndarray], np.ndarray],
+                x0: np.ndarray, times: np.ndarray) -> Trajectory:
+    """The run of any L by its dense propagator.
+
+    The RK4 one-step map is built by stepping basis states, then
     rewritten in the coordinates ``y = (xbar, e)``: the node mean xbar
     and the disagreement ``e = x - 1 xbar``.  Since the coupling
     annihilates ``1 xbar``, e evolves under its own closed block and the
@@ -238,17 +370,12 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     blocks at a time; each group writes ``x = 1 xbar + e`` and the spread
     of e, and the first non-finite x truncates the run as in
     :func:`_integrate_rk4`.
-
-    The block length s is capped at ``1 + (T - 1) // m`` for T time
-    samples: doubling up to ``[Z, ..., Z^s]`` costs about ``(s - 1) m^3``
-    flops, which then stays below the ``T m^2`` of stepping the run, so a
-    short run is not charged for powers it cannot repay.
     """
     N, n = x0.shape
     D = N * n
     m = n + D
     T = times.shape[0]
-    s = max(1, min(T - 1, _BLOCK_ELEMENTS // (m * m), 1 + (T - 1) // m))
+    s = _block_length(T, m, m * m)
     # powers[:, (j-1) m : j m] is Z^j; y_{k+1} = y_k Z, row convention
     powers = np.zeros((m, s * m))
     Z = powers[:, :m]
@@ -264,13 +391,7 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     Z[n:, :n] = P.reshape(D, N, n).mean(axis=1)
     P.reshape(D, N, n)[...] -= Z[n:, None, :n]
     Z[:n, :n] = Z[n:, :n].reshape(N, n, n).sum(axis=0)
-    j = 1
-    while j < s:
-        r = min(j, s - j)
-        powers[:, j * m:(j + r) * m] = (powers[:, (j - 1) * m:j * m]
-                                        @ powers[:, :r * m])
-        j += r
-
+    _fill_powers(powers, s, m)
     states = np.empty((T, N, n))
     spread = np.empty((T, n))
     mean = x0.mean(axis=0)
@@ -374,7 +495,7 @@ def simulate_linear(sys: LinearNetworkSystem, x0, t_end: float,
     def rhs(X):
         return X @ A_T + sigma * (L @ X) @ H_T
 
-    return _integrate_linear(rhs, x0, times)
+    return _integrate_linear(rhs, L, x0, times)
 
 
 def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
@@ -410,7 +531,7 @@ def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
         consensus_error = degrees[:, None] * X - adjacency @ X
         return X @ A_T + c * consensus_error @ BK_T
 
-    return _integrate_linear(rhs, x0, times)
+    return _integrate_linear(rhs, L, x0, times)
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,20 @@ def _require_positive(name: str, value) -> None:
 
 
 def _square_matrices(what: str, *arrays, dtype=float) -> list:
-    """Finite square matrices of one shape; dtype None keeps each type."""
-    ms = [np.atleast_2d(np.asarray(a, dtype=dtype)) for a in arrays]
+    """Finite square matrices of one shape; dtype None keeps each type.
+    A ragged or non-numeric input is InvalidInput, and so is a complex
+    one for a real dtype, which would drop its imaginary part."""
+    ms = []
+    for a in arrays:
+        try:
+            if dtype is not None and np.iscomplexobj(a):
+                raise TypeError("a complex matrix where a real one is needed")
+            m = np.atleast_2d(np.asarray(a, dtype=dtype))
+            if m.dtype.kind not in "biufc":
+                raise TypeError(f"non-numeric dtype {m.dtype}")
+        except (ValueError, TypeError) as exc:
+            raise InvalidInput(f"{what}: {exc}") from exc
+        ms.append(m)
     if any(m.shape != ms[0].shape[:1] * 2 for m in ms):
         raise DimensionMismatch(f"{what}: need square matrices of one "
                                 f"shape, got {[m.shape for m in ms]}")

@@ -16,10 +16,13 @@ Covers:
     norm bound clears, and warning exactly when the exact modulus
     reaches the limit), step-halving sanity,
     tail log-slope matching the slowest transverse mode
-  - the linear propagator against a per-step RK4 loop, also on a short
-    run whose block length the run length caps, its recorded
-    spread, truncation inside a block and inside a group of blocks, and
-    example3's verdict at a horizon where the raw states reach 1e15
+  - the linear propagators (mode by mode on a symmetric Laplacian, dense
+    otherwise) against a per-step RK4 loop, also on a short run whose
+    block length the run length caps, on a disconnected graph whose two
+    zero modes must both be kept and on random symmetric Laplacians,
+    connected or not; their recorded spread, truncation inside a block
+    and inside a group of blocks, and example3's verdict at a horizon
+    where the raw states reach 1e15
   - the nonlinear simulator's numpy path bit for bit against a per-step
     RK4 loop (designed, selector, random zero-row-sum and per-node
     couplings), and a finite state whose sum overflows running to the end
@@ -38,8 +41,9 @@ Covers:
     stored as floats, a matrix that does not fit x0 failing in the run
   - time-grid validation, NaN in the positive-scalar checks, non-finite
     inputs rejected with no warning (also by the design and duality
-    functions), probe parameters that are not finite reals, malformed
-    and empty trajectories, an x0 of the wrong shape, a node width that
+    functions), complex, non-numeric and ragged real matrices rejected,
+    probe parameters that are not finite reals, malformed and empty
+    trajectories, an x0 of the wrong shape, a node width that
     the node dynamic or coupling does not fit, and the per-node fallback
     for callables that broadcast wrong
   - the CSV writer byte for byte against the reference on generated
@@ -286,40 +290,79 @@ def _rk4_loop(f, x0, steps, dt):
     return np.array(out)
 
 
+def _two_simulators_against_rk4(lap, rng, n, steps, dt):
+    """Both linear simulators on a random system over lap, each within
+    1e-9 relative of the per-step RK4 loop and of each other."""
+    L = lap.matrix
+    m = int(rng.integers(1, n + 1))
+    A = rng.normal(0, 1, (n, n))
+    B = rng.normal(0, 1, (n, m))
+    K = rng.normal(0, 1, (m, n))
+    c = float(rng.uniform(0.2, 1.5))
+    x0 = rng.uniform(-1, 1, (lap.n_nodes, n))
+    ref = _rk4_loop(lambda X: X @ A.T + c * (L @ X) @ (B @ K).T,
+                    x0, steps, dt)
+    linear = simulate_linear(LinearNetworkSystem(
+        A=A, H_eff=B @ K, sigma=c, laplacian=lap), x0, steps * dt, dt)
+    agents = simulate_agents(AgentModel(A=A, B=B, K=K, c=c), lap, x0,
+                             steps * dt, dt)
+    scale = np.maximum(1.0, np.abs(ref))
+    for traj in (linear, agents):
+        assert traj.states.shape == ref.shape and not traj.diverged
+        assert (np.abs(traj.states - ref) <= 1e-9 * scale).all()
+    assert (np.abs(linear.states - agents.states) <= 1e-9 * scale).all()
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_linear_simulators_match_per_step_rk4(directed):
     rng = np.random.default_rng(21 + directed)
     dt = 1e-3
     # four random systems over 1000 steps, then one over 40 steps with
-    # N = 6, n = 3: its propagator of size n + N n = 21 caps the block at
-    # 1 + 40 // 21 = 2 steps instead of all 40
+    # N = 6, n = 3, whose run length caps the block: on the directed
+    # Laplacian the dense propagator of size n + N n = 21 takes
+    # 1 + 40 // 21 = 2 steps a block, on the undirected one the 3 x 3
+    # mode maps take 1 + 40 // 3 = 14, instead of all 40
     for steps in (1000,) * 4 + (40,):
         if steps == 40:
             n, N = 3, 6
         else:
             n, N = int(rng.integers(1, 4)), int(rng.integers(2, 7))
-        m = int(rng.integers(1, n + 1))
-        A = rng.normal(0, 1, (n, n))
-        B = rng.normal(0, 1, (n, m))
-        K = rng.normal(0, 1, (m, n))
-        c = float(rng.uniform(0.2, 1.5))
         lap = build_laplacian(
             random_connected_topology(rng, N, directed=directed))
-        L = lap.matrix
-        x0 = rng.uniform(-1, 1, (N, n))
-        ref = _rk4_loop(lambda X: X @ A.T + c * (L @ X) @ (B @ K).T,
-                        x0, steps, dt)
-        t_end = steps * dt
-        runs = (
-            simulate_linear(LinearNetworkSystem(A=A, H_eff=B @ K, sigma=c,
-                                                laplacian=lap), x0, t_end, dt),
-            simulate_agents(AgentModel(A=A, B=B, K=K, c=c), lap, x0, t_end,
-                            dt),
-        )
-        for traj in runs:
-            assert traj.states.shape == ref.shape and not traj.diverged
-            assert (np.abs(traj.states - ref)
-                    <= 1e-9 * np.maximum(1.0, np.abs(ref))).all()
+        _two_simulators_against_rk4(lap, rng, n, steps, dt)
+
+
+def test_linear_simulators_keep_every_zero_mode_of_a_disconnected_graph():
+    # a 3-node path and a 2-node edge: the zero eigenspace is two-dimensional
+    # and x0's disagreement has a part in it, which a basis that drops a
+    # zero mode, or keeps only the constant one, loses
+    rng = np.random.default_rng(25)
+    w = np.zeros((5, 5))
+    for a, b in ((0, 1), (1, 2), (3, 4)):
+        w[a, b] = w[b, a] = rng.uniform(0.5, 1.5)
+    lap = build_laplacian(Topology(n_nodes=5, directed=False, weights=w))
+    assert np.sum(np.abs(np.linalg.eigvalsh(lap.matrix)) < 1e-12) == 2
+    for n in (1, 2, 3):
+        _two_simulators_against_rk4(lap, rng, n, 500, 1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 12),
+       n=st.integers(1, 4), connected=st.booleans())
+def test_linear_simulators_match_rk4_on_symmetric_laplacians(
+        seed, n_nodes, n, connected):
+    rng = np.random.default_rng(seed)
+    if connected:
+        topology = random_connected_topology(rng, n_nodes)
+    else:
+        # random edges, none between the nodes below cut and the rest
+        w = np.triu(np.where(rng.random((n_nodes, n_nodes)) < 0.5,
+                             rng.uniform(0.2, 2.0, (n_nodes, n_nodes)),
+                             0.0), 1)
+        cut = int(rng.integers(1, n_nodes))
+        w[:cut, cut:] = 0.0
+        topology = Topology(n_nodes=n_nodes, directed=False, weights=w + w.T)
+    _two_simulators_against_rk4(build_laplacian(topology), rng, n, 200, 1e-3)
 
 
 def test_recorded_spread_matches_states_spread():
@@ -384,12 +427,53 @@ def test_overflowing_step_map_diverges_at_first_step():
     assert np.array_equal(traj.states[0], [[1.0], [0.0]])
 
 
+def test_laplacian_near_the_largest_float_diverges_at_first_step():
+    # ||L||_inf = 1e308 is finite, but the modal basis's shift
+    # 1 + 2||L||_inf is not, so the run takes the dense path, whose step
+    # map overflows
+    w = np.array([[0.0, 5e307], [5e307, 0.0]])
+    lap = build_laplacian(Topology(n_nodes=2, directed=False, weights=w))
+    sys = LinearNetworkSystem(A=np.zeros((1, 1)), H_eff=-np.eye(1),
+                              sigma=1.0, laplacian=lap)
+    with pytest.warns(UserWarning, match="stiffest"):
+        traj = simulate_linear(sys, np.array([[1.0], [0.0]]), 1.0, 0.1)
+    assert traj.diverged and traj.times.shape[0] == 1
+
+
 def test_example3_verdict_holds_at_long_horizon():
     # the unstable node dynamic (+0.366) drives the states to ~1e15 by
     # t = 100, where max - min of the raw states is one ulp (2.0)
     result = run_example3(t_end=100.0)
     assert result.verdict
     assert result.summary["variants"]["H6"]["final_error"] < 1e-9
+
+
+def test_mode_path_spread_stays_at_its_scale_as_the_common_mode_grows():
+    # A's eigenvalues 0.5 +- 1j drive the node mean to ~1e30 by t = 140
+    # while the coupling damps the spread by 1e-61; a common mode left in
+    # the modal coordinates would carry the mean's rounding (1e-16 of it)
+    # into the spread, as the dense path's closed disagreement block does
+    # not
+    rng = np.random.default_rng(31)
+    N = 12
+    L = build_laplacian(random_connected_topology(rng, N)).matrix
+    A = np.array([[0.5, 1.0], [-1.0, 0.5]])
+    c = 1.5 / np.linalg.eigvalsh(L)[1]
+
+    def rhs(X):
+        return X @ A.T - c * (L @ X)
+
+    x0 = rng.uniform(-1, 1, (N, 2))
+    times = dynamics._time_grid(140.0, 1e-2)
+    modes = dynamics._step_modes(rhs, L, x0, times)
+    dense = dynamics._step_dense(rhs, x0, times)
+    assert 1e29 < np.abs(modes.states[-1]).max() < np.inf
+    assert dense.spread[-1].max() < 1e-60
+    assert (np.abs(modes.spread - dense.spread) <= 1e-8 * dense.spread).all()
+    # example3's unstable node dynamic (+0.366) takes its states to ~1e32
+    result = run_example3(t_end=200.0)
+    assert result.verdict
+    assert result.summary["variants"]["H6"]["final_error"] < 1e-20
 
 
 # ── agent simulator ──────────────────────────────────────────────────────────
@@ -1257,6 +1341,32 @@ def _empty_trajectory():
 def test_non_finite_inputs_rejected_without_warning(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", [
+    1j * np.eye(3), "x", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]],
+    ids=["complex", "string", "ragged"])
+def test_real_matrices_reject_complex_non_numeric_and_ragged(matrix):
+    # a complex matrix would lose its imaginary part in a cast to float
+    connection = build_three_oscillator(0.3, 1.0, -np.eye(3)).connection
+    with pytest.raises(InvalidInput, match="coupling matrix"):
+        NonlinearNetworkSystem(rossler_vector_field, matrix, connection)
+    with pytest.raises(InvalidInput, match="A and H_eff"):
+        LinearNetworkSystem(A=matrix, H_eff=-np.eye(3), sigma=1.0,
+                            laplacian=PAIR_LAPLACIAN)
+
+
+def test_real_matrices_accept_numeric_object_arrays():
+    # object arrays of floats and of Fractions cast to float as before
+    from fractions import Fraction
+    for A in (np.array([[0.5, 0.0], [0.0, -1.0]], dtype=object),
+              [[Fraction(1, 2), 0], [0, Fraction(-1)]]):
+        sys = LinearNetworkSystem(A=A, H_eff=-np.eye(2), sigma=1.0,
+                                  laplacian=PAIR_LAPLACIAN)
+        assert sys.A.dtype == float
+        assert np.array_equal(sys.A, np.diag([0.5, -1.0]))
+
 
 
 def test_sync_report_dict_schema():
