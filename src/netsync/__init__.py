@@ -13,5 +13,6 @@ from .gershgorin import *  # noqa: F401,F403
 from .coupling import *  # noqa: F401,F403
 from .duality import *  # noqa: F401,F403
 from .dynamics import *  # noqa: F401,F403
+from .artifacts import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from . import scenarios
+from .artifacts import atomic_write_text, dump_json
 from .coupling import (
     decompose,
     design_directed,
@@ -79,13 +80,13 @@ def _load_matrix(path) -> np.ndarray:
 
 
 def _emit(payload: dict, out_dir, filename: str) -> None:
-    text = scenarios.dump_json(payload)
+    text = dump_json(payload)
     if out_dir is None:
         sys.stdout.write(text)
         return
     try:
         os.makedirs(out_dir, exist_ok=True)
-        scenarios.atomic_write_text(os.path.join(out_dir, filename), text)
+        atomic_write_text(os.path.join(out_dir, filename), text)
     except OSError as exc:
         raise InvalidInput(f"cannot write artifacts: {exc}") from exc
 

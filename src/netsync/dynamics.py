@@ -26,27 +26,20 @@ network splits into the node mean and N - 1 independent n x n modes,
 one per eigenvector orthogonal to 1 (the master-stability split), and
 2n probe states give all N maps.  Any other Laplacian steps the dense
 map of the whole state, rewritten in node-mean / disagreement
-coordinates.  Either way
-the disagreement evolves on its own, so the cross-node spread the
-metrics read stays at its own scale when the common mode grows without
-bound.
+coordinates.  Either way the disagreement evolves on its own, so the
+cross-node spread the metrics read stays at its own scale when the
+common mode grows without bound.
 
 A non-finite state truncates the trajectory at the last finite step and
-flags it; a divergent run still produces a synchronization report.  A
-symmetric run that turns non-finite is redone on the dense path, which
-truncates it.
+flags it; a divergent run still produces a synchronization report.  The
+writers of trajectories and reports live in :mod:`netsync.artifacts`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import shutil
-import signal
 import struct
-import sys
-import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -81,8 +74,6 @@ __all__ = [
     "sync_error",
     "component_settle_times",
     "rms_amplitude",
-    "write_trajectory_csv",
-    "sync_report_dict",
 ]
 
 # |stiffest eigenvalue| * dt beyond which explicit RK4 is warned about.
@@ -98,14 +89,10 @@ _BLOCK_ELEMENTS = 1 << 16
 # stepped at once to build the one-step map, the group of states the
 # linear simulators advance before recombining, recording and checking
 # them, and the state entries of the chunk of time samples that the CSV
-# writer formats with one ``%``. Enough to amortise the per-iteration
-# calls; small enough to bound the buffers, RK4 temporaries and text.
+# writer of :mod:`netsync.artifacts` formats with one ``%``.  Enough to
+# amortise the per-iteration calls; small enough to bound the buffers,
+# RK4 temporaries and text.
 _CHUNK_ELEMENTS = 1 << 12
-# Chunks each process must get before the CSV writer forks a worker:
-# forking and reaping one costs 4-5 ms in a 141 MB process on a 2-CPU
-# Linux VM, about two chunks of formatting there, and a worker's range
-# formats more slowly than this process's.
-_CSV_MIN_CHUNKS_PER_PROCESS = 8
 
 
 @dataclass(frozen=True)
@@ -238,19 +225,22 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     coupling of identical rows (``L 1 = 0``); the RK4 one-step maps come
     from stepping probe states through it with :func:`_integrate_rk4`,
     so each simulator is checked by its own right-hand side.  A symmetric
-    L steps mode by mode (:func:`_step_modes`); any other L, or a
-    symmetric run whose states turn non-finite, steps the dense
-    propagator (:func:`_step_dense`), which truncates the run at its
-    last finite state.  A modal coordinate holds up to sqrt(N) times the
-    largest disagreement, so near the largest float the modes can
-    overflow a step or two before the node states do; the redo keeps
-    the truncation at the states' own last finite step.
+    L whose ``2 ||L||_inf`` is finite steps mode by mode
+    (:func:`_step_modes`); any other L steps the dense propagator
+    (:func:`_step_dense`).  Either stepper stops after the first group of
+    samples with a non-finite state and flags the run diverged, and the
+    run is truncated here, at the last finite sample.
     """
-    if np.array_equal(L, L.T):
+    if np.array_equal(L, L.T) and math.isfinite(2.0 * _inf_norm(L)):
         traj = _step_modes(rhs, L, x0, times)
-        if traj is not None:
-            return traj
-    return _step_dense(rhs, x0, times)
+    else:
+        traj = _step_dense(rhs, x0, times)
+    if not traj.diverged:
+        return traj
+    last = int(np.argmin(np.isfinite(traj.states).all(axis=(1, 2))))
+    return Trajectory(times=traj.times[:last].copy(),
+                      states=traj.states[:last].copy(), diverged=True,
+                      spread=traj.spread[:last].copy())
 
 
 def _block_length(T: int, size: int, elements: int) -> int:
@@ -279,9 +269,10 @@ def _fill_powers(powers: np.ndarray, s: int, m: int) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
-                x0: np.ndarray, times: np.ndarray) -> Trajectory | None:
-    """The run of a symmetric L in modal coordinates; None when a map or
-    a state is not finite.
+                x0: np.ndarray, times: np.ndarray) -> Trajectory:
+    """The run of a symmetric L whose ``2 ||L||_inf`` is finite, in modal
+    coordinates, through the first group of samples with a non-finite
+    state, if any, which flags it diverged.
 
     With ``L = U diag(lambda) U^T``, the network splits into the node
     mean and N - 1 independent n x n systems, one per eigenvector
@@ -297,7 +288,10 @@ def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
     a block of s steps per product with ``[Z, ..., Z^s]``, a group of
     blocks at a time; each group writes ``x = 1 xbar + U y`` and the
     spread of ``U y``, so the metrics read the disagreement at its own
-    scale.
+    scale.  A modal coordinate can hold sqrt(N) times the largest
+    disagreement, so y is held times ``2^-k`` with ``4^k >= N``, and
+    ``U y`` scaled back: powers of two scale exactly, so no coordinate
+    overflows before the states do, and every in-range bit is kept.
     """
     N, n = x0.shape
     T = times.shape[0]
@@ -305,8 +299,6 @@ def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
     # above all of L's (they lie within ||L||_inf of 0), so eigh puts it
     # last, separated, and the other columns are orthogonal to 1
     shift = 1.0 + 2.0 * _inf_norm(L)
-    if not math.isfinite(shift):    # LAPACK is not asked to solve infs
-        return None
     U = np.linalg.eigh(L + shift / N)[1][:, :-1]
     probes = np.zeros((2, n, N, n))
     diagonal = np.arange(n)
@@ -314,9 +306,8 @@ def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
     probes[1, diagonal, :, diagonal] = U.sum(axis=1)
     _, step, diverged = _integrate_rk4(rhs, probes.reshape(2 * n, N, n),
                                        times[:2])
-    if diverged:
-        return None
-    step = step[1].reshape(2, n, N, n)
+    step = (np.full((2, n, N, n), np.inf) if diverged
+            else step[1].reshape(2, n, N, n))
     s = _block_length(T, n, N * n * n)
     # powers[0] holds the mean's powers, powers[1 + k] mode k's
     powers = np.zeros((N, n, s * n))
@@ -324,42 +315,46 @@ def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
     powers[1:, :, :n] = (U.T @ step[1]).transpose(1, 0, 2)
     _fill_powers(powers, s, n)
 
+    up = 2.0 ** (((N - 1).bit_length() + 1) // 2)   # least 2^k, 4^k >= N
     states = np.empty((T, N, n))
     spread = np.empty((T, n))
     mean = x0.mean(axis=0)
     e = x0 - mean
     states[0] = x0
     spread[0] = e.max(axis=0) - e.min(axis=0)
-    # coords[:, :n] is (xbar, y); the blocks of a group fill the rest
+    # coords[:, :n] is (xbar, 2^-k y); the blocks of a group fill the rest
     g = max(1, _CHUNK_ELEMENTS // (s * N * n))
     coords = np.empty((N, (g * s + 1) * n))
     coords[0, :n] = mean
-    coords[1:, :n] = U.T @ e
+    coords[1:, :n] = U.T @ (e / up)
     disagreement = np.empty((N, g * s * n))
-    k = 0
-    while k < T - 1:
+    k, finite = 0, True
+    while finite and k < T - 1:
         b = min(g * s, T - 1 - k)
         for j in range(0, b, s):
             np.matmul(coords[:, None, j * n:(j + 1) * n], powers,
                       out=coords[:, None, (j + 1) * n:(j + 1 + s) * n])
         e = np.matmul(U, coords[1:, n:(b + 1) * n],
-                      out=disagreement[:, :b * n]).reshape(N, b, n)
+                      out=disagreement[:, :b * n])
+        e *= up
+        e = e.reshape(N, b, n)
         x = states[k + 1:k + 1 + b]
         np.add(coords[0, n:(b + 1) * n].reshape(b, 1, n),
                e.transpose(1, 0, 2), out=x)
-        if not np.isfinite(x).all():
-            return None
         # the node axis leads e, so max and min run over contiguous rows
         spread[k + 1:k + 1 + b] = e.max(axis=0) - e.min(axis=0)
         coords[:, :n] = coords[:, b * n:(b + 1) * n]
         k += b
-    return Trajectory(times=times, states=states, spread=spread)
+        finite = np.isfinite(x).all()
+    return Trajectory(times=times[:k + 1], states=states[:k + 1],
+                      diverged=not finite, spread=spread[:k + 1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _step_dense(rhs: Callable[[np.ndarray], np.ndarray],
                 x0: np.ndarray, times: np.ndarray) -> Trajectory:
-    """The run of any L by its dense propagator.
+    """The run of any L by its dense propagator, through the first group
+    of samples with a non-finite state, if any, which flags it diverged.
 
     The RK4 one-step map is built by stepping basis states, then
     rewritten in the coordinates ``y = (xbar, e)``: the node mean xbar
@@ -368,8 +363,7 @@ def _step_dense(rhs: Callable[[np.ndarray], np.ndarray],
     rounding noise of a large xbar never enters it.  Runs advance a
     block of s steps per product ``y @ [Z, Z^2, ..., Z^s]``, a group of
     blocks at a time; each group writes ``x = 1 xbar + e`` and the spread
-    of e, and the first non-finite x truncates the run as in
-    :func:`_integrate_rk4`.
+    of e.
     """
     N, n = x0.shape
     D = N * n
@@ -404,8 +398,8 @@ def _step_dense(rhs: Callable[[np.ndarray], np.ndarray],
     flat = ys.reshape(-1)
     ys[0, :n] = mean
     ys[0, n:] = e.ravel()
-    k = 0
-    while k < T - 1:
+    k, finite = 0, True
+    while finite and k < T - 1:
         b = min(g * s, T - 1 - k)
         for j in range(0, b, s):
             np.matmul(ys[j], powers, out=flat[(j + 1) * m:(j + 1 + s) * m])
@@ -417,14 +411,11 @@ def _step_dense(rhs: Callable[[np.ndarray], np.ndarray],
         # are exact, so the spread keeps its bits
         t = e.transpose(0, 2, 1).copy()
         spread[k + 1:k + 1 + b] = t.max(axis=2) - t.min(axis=2)
-        if not np.isfinite(x).all():
-            last = k + int(np.argmin(np.isfinite(x).all(axis=(1, 2))))
-            return Trajectory(times=times[:last + 1].copy(),
-                              states=states[:last + 1].copy(),
-                              diverged=True, spread=spread[:last + 1].copy())
         ys[0] = ys[b]
         k += b
-    return Trajectory(times=times, states=states, spread=spread)
+        finite = np.isfinite(x).all()
+    return Trajectory(times=times[:k + 1], states=states[:k + 1],
+                      diverged=not finite, spread=spread[:k + 1])
 
 
 def _check_x0(x0, n_nodes: int, node_dim: int | None = None) -> np.ndarray:
@@ -507,12 +498,8 @@ def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
     The trajectory coincides with :func:`simulate_linear` under
     ``H_eff = B K, sigma = c``; asserted in the test suite, not assumed
     here: the right-hand side below is evaluated from degrees and
-    adjacency, not from L itself.
-
-    Warns as :func:`simulate_linear` does under ``H_eff = B K, sigma = c``:
-    the bound ``||A||_inf + c ||L||_inf ||B K||_inf`` on every mode modulus
-    is checked first, and the exact eigensolves run only when that bound
-    times dt does not clear 2.5.
+    adjacency, not from L itself.  Warns as :func:`simulate_linear` does
+    under ``H_eff = B K, sigma = c``.
     """
     if model.K is None:
         raise PreconditionViolation("agent model has no feedback gain K")
@@ -970,122 +957,3 @@ def rms_amplitude(traj: Trajectory) -> float:
         scale = np.abs(states).max()
         rms = float(scale * np.sqrt(np.mean((states / scale) ** 2)))
     return rms
-
-
-def _csv_chunk(traj: Trajectory) -> int:
-    """Time samples per chunk of the CSV writer."""
-    return max(1, _CHUNK_ELEMENTS // max(1, traj.n_nodes * traj.node_dim))
-
-
-def _csv_processes(n_chunks: int) -> int:
-    """Processes that write one CSV of n_chunks chunks: the CPUs this
-    process may run on, but few enough that each formats at least
-    ``_CSV_MIN_CHUNKS_PER_PROCESS`` chunks; 1 off Linux, where no worker
-    is forked."""
-    if sys.platform != "linux":
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)),
-                      n_chunks // _CSV_MIN_CHUNKS_PER_PROCESS))
-
-
-def _write_csv_samples(traj: Trajectory, fh, start: int, stop: int) -> None:
-    """Write the CSV rows of time samples ``start:stop`` to the binary
-    file fh, one chunk of samples at a time.
-
-    The rows of one time sample share a template, ``%s,<node>`` then
-    ``,%r`` per component for each node in turn.  A chunk of samples
-    fills an object grid ``cells[sample, node] = (repr(t), x1..xn)`` with
-    Python floats, whose ``%r`` is their ``repr``, and the template
-    repeated once per sample formats the whole grid in one ``%``.
-    """
-    _, n_nodes, n = traj.states.shape
-    chunk = _csv_chunk(traj)
-    row = "".join(f"%s,{node + 1}" + ",%r" * n + "\r\n"
-                  for node in range(n_nodes))
-    cells = np.empty((chunk, n_nodes, 1 + n), dtype=object)
-    for lo in range(start, stop, chunk):
-        times = np.asarray(traj.times[lo:min(lo + chunk, stop)], dtype=float)
-        b = times.shape[0]
-        cells[:b, :, 0] = np.array(list(map(repr, times.tolist())),
-                                   dtype=object)[:, None]
-        cells[:b, :, 1:] = np.asarray(traj.states[lo:lo + b], dtype=float)
-        fh.write((row * b % tuple(cells[:b].ravel().tolist())).encode())
-
-
-def _fork_csv_worker(traj: Trajectory, part, start: int, stop: int) -> int:
-    """Fork a process that writes samples ``start:stop`` of traj to the
-    binary file part and returns its pid.  The worker inherits traj and
-    part, leaves an interrupt to this process, and ends through
-    ``os._exit`` (0 once the part is flushed, 1 on any exception) without
-    flushing other inherited buffers or returning into the caller."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            _write_csv_samples(traj, part, start, stop)
-            part.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV rows ``t,node,x1..xn`` (one row per
-    time sample per node): 1-based node labels, each value the ``repr``
-    of a float, no quoting and ``\\r\\n`` line ends.
-
-    On Linux a large trajectory is formatted on the CPUs this process
-    may use: W contiguous ranges of whole chunks, at least
-    ``_CSV_MIN_CHUNKS_PER_PROCESS`` each.  W - 1 forked workers each
-    write one range to an unnamed temporary file beside ``path``;
-    meanwhile this process writes the header and the first range, then
-    reaps the workers in order and appends each part.  The range of a
-    worker that failed or was killed is written here instead, so an
-    error such as a full disk is raised here as itself.  Every range
-    goes through :func:`_write_csv_samples`, so the bytes do not depend
-    on W, and no worker or part outlives the call.
-    """
-    n_steps = traj.times.shape[0]
-    chunk = _csv_chunk(traj)
-    n_chunks = -(-n_steps // chunk)
-    processes = _csv_processes(n_chunks)
-    bounds = [min(n_steps, chunk * (n_chunks * i // processes))
-              for i in range(processes + 1)]
-    parts, pids, reaped = [], [], 0
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            parts.append(tempfile.TemporaryFile(
-                dir=os.path.dirname(path) or "."))
-            pids.append(_fork_csv_worker(traj, parts[-1], lo, hi))
-        with open(path, "wb") as fh:
-            fh.write((",".join(["t", "node"]
-                               + [f"x{i + 1}" for i in range(traj.node_dim)])
-                      + "\r\n").encode())
-            _write_csv_samples(traj, fh, bounds[0], bounds[1])
-            for part, pid, lo, hi in zip(parts, pids, bounds[1:], bounds[2:]):
-                status = os.waitpid(pid, 0)[1]
-                reaped += 1
-                if status == 0:
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh)
-                else:
-                    _write_csv_samples(traj, fh, lo, hi)
-    finally:
-        for pid in pids[reaped:]:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
-            part.close()
-
-
-def sync_report_dict(report: SyncReport) -> dict:
-    """JSON-ready synchronization report:
-    {"sync_time": t|null, "converged": bool, "tol": v, "final_error": e}."""
-    return {
-        "sync_time": report.sync_time,
-        "converged": report.converged,
-        "tol": report.tol,
-        "final_error": report.final_error,
-    }

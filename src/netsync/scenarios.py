@@ -1,6 +1,6 @@
 """Bundled reference scenarios.
 
-Five regression scenarios exercise the full pipeline end to end; their
+Six regression scenarios exercise the full pipeline end to end; their
 input matrices and constants live as versioned JSON fixtures under
 ``netsync/data`` so the numbers are auditable rather than buried in
 code.  Each runner returns a :class:`ScenarioResult` whose ``verdict``
@@ -26,13 +26,20 @@ from __future__ import annotations
 import importlib.resources
 import json
 import os
-import pathlib
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+# write_artifacts looks write_trajectory_csv up here, where the
+# benchmark's tracer (perfbench/tracer.py) wraps it
+from .artifacts import (
+    _atomic_write,
+    atomic_write_text,
+    dump_json,
+    sync_report_dict,
+    write_trajectory_csv,
+)
 from .coupling import (
     CouplingMatrices,
     ModalCouplingSpec,
@@ -60,8 +67,6 @@ from .dynamics import (
     simulate_linear,
     simulate_nonlinear,
     sync_error,
-    sync_report_dict,
-    write_trajectory_csv,
     LinearNetworkSystem,
 )
 from .graph import Laplacian, spectrum
@@ -410,32 +415,6 @@ SCENARIOS = {
     "rossler": ("rossler", {}),
     "rossler-baseline": ("rossler", {"baseline": True}),
 }
-
-
-def dump_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _atomic_write(path: str, write) -> None:
-    """Create ``path`` atomically: ``write(tmp)`` fills a temporary file
-    in the same directory, which then replaces ``path``; on failure the
-    temporary file is removed."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               suffix=".tmp")
-    os.close(fd)
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(
-        text, encoding="utf-8"))
 
 
 def write_artifacts(result: ScenarioResult, out_dir) -> list:

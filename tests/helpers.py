@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from netsync import Laplacian, Topology, build_laplacian, dynamics
+from netsync import Laplacian, Topology, artifacts, build_laplacian
 
 
 def path_topology(n: int) -> Topology:
@@ -111,9 +111,9 @@ def force_csv_processes(monkeypatch, processes: int) -> None:
     never forks (off Linux)."""
     if processes > 1 and sys.platform != "linux":
         pytest.skip("the CSV writer forks workers on Linux only")
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity",
+    monkeypatch.setattr(artifacts.os, "sched_getaffinity",
                         lambda pid: set(range(processes)), raising=False)
-    monkeypatch.setattr(dynamics, "_CSV_MIN_CHUNKS_PER_PROCESS", 1)
+    monkeypatch.setattr(artifacts, "_CSV_MIN_CHUNKS_PER_PROCESS", 1)
 
 
 def assert_no_child_left() -> None:

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from helpers import assert_no_child_left, force_csv_processes
 
 import netsync
-from netsync import dynamics, errors, scenarios
+from netsync import artifacts, errors, scenarios
 from netsync.cli import build_parser, main
 from netsync.scenarios import load_fixture
 
@@ -472,7 +472,7 @@ def test_reproduce_unwritable_out_is_io_error(tmp_path, capsys):
 def test_reproduce_failing_csv_worker_is_io_error(tmp_path, monkeypatch,
                                                  capsys):
     force_csv_processes(monkeypatch, 2)
-    write = dynamics._write_csv_samples
+    write = artifacts._write_csv_samples
 
     # a worker's range fails, then again when the parent writes it
     def fail_past_range_0(traj, fh, start, stop):
@@ -480,7 +480,7 @@ def test_reproduce_failing_csv_worker_is_io_error(tmp_path, monkeypatch,
             raise OSError(errno.ENOSPC, "No space left on device")
         write(traj, fh, start, stop)
 
-    monkeypatch.setattr(dynamics, "_write_csv_samples", fail_past_range_0)
+    monkeypatch.setattr(artifacts, "_write_csv_samples", fail_past_range_0)
     code = main(["reproduce", "example4", "--t-end", "5.0",
                  "--out", str(tmp_path)])
     assert code == 2

@@ -21,8 +21,9 @@ Covers:
     block length the run length caps, on a disconnected graph whose two
     zero modes must both be kept and on random symmetric Laplacians,
     connected or not; their recorded spread, truncation inside a block
-    and inside a group of blocks, and example3's verdict at a horizon
-    where the raw states reach 1e15
+    and inside a group of blocks, a symmetric run truncated at its
+    states' last finite step without the dense map, and example3's
+    verdict at a horizon where the raw states reach 1e15
   - the nonlinear simulator's numpy path bit for bit against a per-step
     RK4 loop (designed, selector, random zero-row-sum and per-node
     couplings), and a finite state whose sum overflows running to the end
@@ -50,14 +51,15 @@ Covers:
     64-bit patterns, and its memory bounded by one chunk, each also with
     the file forced onto 1, 2 and 3 processes; its process count bounded
     by the CPUs and the file size, the file split inside a daemonic
-    worker too, the range of a killed worker written by the parent, a
-    worker ignoring SIGINT, a failing worker or an interrupt leaving no
-    file behind, and no worker left unreaped (checked on Linux, the one
-    platform where the writer forks)
+    worker too, the range of a killed or unforked worker written by the
+    parent, a worker ignoring SIGINT, a failing worker or an interrupt
+    leaving no file behind, and no worker left unreaped (checked on
+    Linux, the one platform where the writer forks)
 """
 
 import csv
 import errno
+import math
 import multiprocessing
 import os
 import signal
@@ -113,11 +115,11 @@ from netsync import (
     verify,
     write_trajectory_csv,
 )
-from netsync import dynamics, scenarios
+from netsync import artifacts, dynamics, scenarios
+from netsync.artifacts import _atomic_write
 from netsync.coupling import stiffest_mode_modulus
 from netsync.dynamics import _CHUNK_ELEMENTS
 from netsync.scenarios import (
-    _atomic_write,
     designed_rossler_coupling,
     load_fixture,
     run_example3,
@@ -438,6 +440,36 @@ def test_laplacian_near_the_largest_float_diverges_at_first_step():
     with pytest.warns(UserWarning, match="stiffest"):
         traj = simulate_linear(sys, np.array([[1.0], [0.0]]), 1.0, 0.1)
     assert traj.diverged and traj.times.shape[0] == 1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 400),
+       extra=st.integers(0, 24))
+def test_symmetric_overflow_truncates_on_the_mode_path(monkeypatch, seed,
+                                                       n_nodes, extra):
+    # uncoupled nodes grow by the RK4 factor g a step and the largest
+    # |x0| sits at max / g**(k + 1/2), so step k is the last finite one;
+    # x0 lies along the most spread-out mode, whose coordinate is up to
+    # sqrt(N) times the largest state and, unscaled, would overflow first.
+    # g**k >= N keeps the sum of x0 that gives its node mean finite
+    def no_dense(*args):
+        raise AssertionError("a symmetric run stepped the dense map")
+
+    monkeypatch.setattr(dynamics, "_step_dense", no_dense)
+    rng = np.random.default_rng(seed)
+    lap = build_laplacian(random_connected_topology(rng, n_nodes))
+    modes = np.linalg.eigh(lap.matrix)[1][:, 1:]
+    u = modes[:, np.argmin(np.abs(modes).max(axis=0))]
+    growth = 1 + 1 + 1 / 2 + 1 / 6 + 1 / 24      # a * dt = 1
+    k = math.ceil(math.log(n_nodes) / math.log(growth)) + extra
+    x0 = (u / np.abs(u).max() * (np.finfo(float).max
+                                 / growth ** (k + 0.5)))[:, None]
+    sys = LinearNetworkSystem(A=np.array([[10.0]]), H_eff=np.zeros((1, 1)),
+                              sigma=1.0, laplacian=lap)
+    traj = simulate_linear(sys, x0, 4.0, 0.1)
+    assert traj.diverged and traj.times.shape[0] == k + 1
+    assert np.isfinite(traj.states).all()
 
 
 def test_example3_verdict_holds_at_long_horizon():
@@ -1586,7 +1618,7 @@ def test_trajectory_csv_memory_is_bounded_per_process_count(
 def test_trajectory_csv_process_count(tmp_path, monkeypatch, cpus,
                                       min_chunks, n_chunks, processes):
     force_csv_processes(monkeypatch, cpus)
-    monkeypatch.setattr(dynamics, "_CSV_MIN_CHUNKS_PER_PROCESS", min_chunks)
+    monkeypatch.setattr(artifacts, "_CSV_MIN_CHUNKS_PER_PROCESS", min_chunks)
     forks = []
     fork = getattr(os, "fork", None)    # Unix-only; the writer forks on Linux
 
@@ -1614,14 +1646,14 @@ def _raise_interrupt():
 def _fail_in_ranges(monkeypatch, fail, in_range):
     """Make the CSV writer call fail() before writing any range for which
     in_range(start) holds."""
-    write = dynamics._write_csv_samples
+    write = artifacts._write_csv_samples
 
     def failing(traj, fh, start, stop):
         if in_range(start):
             fail()
         write(traj, fh, start, stop)
 
-    monkeypatch.setattr(dynamics, "_write_csv_samples", failing)
+    monkeypatch.setattr(artifacts, "_write_csv_samples", failing)
 
 
 # 2000 samples of 3 nodes: 3 chunks, split by force_csv_processes
@@ -1667,12 +1699,38 @@ def test_trajectory_csv_killed_worker_range_written_here(tmp_path,
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("processes", [2, 3])
+def test_trajectory_csv_unforked_worker_range_written_here(tmp_path,
+                                                           monkeypatch,
+                                                           processes):
+    # the first os.fork fails as at the process limit (a later one works):
+    # this process writes that worker's range
+    force_csv_processes(monkeypatch, processes)
+    fork, calls = os.fork, []
+
+    def fork_fails_first():
+        calls.append(None)
+        if len(calls) == 1:
+            raise BlockingIOError(errno.EAGAIN,
+                                  "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_fails_first)
+    write_trajectory_csv(_SPLIT_TRAJECTORY, tmp_path / "fast.csv")
+    _reference_csv(_SPLIT_TRAJECTORY, tmp_path / "reference.csv")
+    assert len(calls) == processes - 1
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert sorted(os.listdir(tmp_path)) == ["fast.csv", "reference.csv"]
+    assert_no_child_left()
+
+
 def test_trajectory_csv_worker_ignores_interrupt(tmp_path, monkeypatch):
     # an interrupt is left to this process: a worker sent SIGINT still
     # writes its part, and this process writes range 0 only
     force_csv_processes(monkeypatch, 2)
     parent, starts = os.getpid(), []
-    write = dynamics._write_csv_samples
+    write = artifacts._write_csv_samples
 
     def interrupted(traj, fh, start, stop):
         if os.getpid() == parent:
@@ -1681,7 +1739,7 @@ def test_trajectory_csv_worker_ignores_interrupt(tmp_path, monkeypatch):
             os.kill(os.getpid(), signal.SIGINT)
         write(traj, fh, start, stop)
 
-    monkeypatch.setattr(dynamics, "_write_csv_samples", interrupted)
+    monkeypatch.setattr(artifacts, "_write_csv_samples", interrupted)
     write_trajectory_csv(_SPLIT_TRAJECTORY, tmp_path / "fast.csv")
     _reference_csv(_SPLIT_TRAJECTORY, tmp_path / "reference.csv")
     assert starts == [0]

@@ -11,12 +11,13 @@ import sys
 import numpy as np
 
 import netsync
-from netsync import (coupling, decompose, duality, dynamics, errors,
-                     gershgorin, graph)
+from netsync import (artifacts, coupling, decompose, duality, dynamics,
+                     errors, gershgorin, graph)
 
 
 def test_package_exports_each_module_all():
-    modules = (errors, graph, gershgorin, coupling, duality, dynamics)
+    modules = (errors, graph, gershgorin, coupling, duality, dynamics,
+               artifacts)
     declared = set()
     for module in modules:
         for name in module.__all__:
