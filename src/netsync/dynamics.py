@@ -89,7 +89,7 @@ _BLOCK_ELEMENTS = 1 << 16
 # stepped at once to build the one-step map, the group of states the
 # linear simulators advance before recombining, recording and checking
 # them, and the state entries of the chunk of time samples that the CSV
-# writer of :mod:`netsync.artifacts` formats with one ``%``.  Enough to
+# writer of :mod:`netsync.artifacts` formats at once.  Enough to
 # amortise the per-iteration calls; small enough to bound the buffers,
 # RK4 temporaries and text.
 _CHUNK_ELEMENTS = 1 << 12
@@ -267,6 +267,18 @@ def _fill_powers(powers: np.ndarray, s: int, m: int) -> None:
         j += r
 
 
+def _node_mean(x: np.ndarray) -> np.ndarray:
+    """Mean of x over its leading (node) axis.  When the plain sum
+    overflows, the mean of x scaled by 2^-k with 2^k >= N, scaled back:
+    powers of two scale exactly, so every mean in range keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+    if not np.isfinite(mean).all():
+        up = 2.0 ** (x.shape[0] - 1).bit_length()
+        mean = (x / up).mean(axis=0) * up
+    return mean
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
                 x0: np.ndarray, times: np.ndarray) -> Trajectory:
@@ -318,7 +330,7 @@ def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
     up = 2.0 ** (((N - 1).bit_length() + 1) // 2)   # least 2^k, 4^k >= N
     states = np.empty((T, N, n))
     spread = np.empty((T, n))
-    mean = x0.mean(axis=0)
+    mean = _node_mean(x0)
     e = x0 - mean
     states[0] = x0
     spread[0] = e.max(axis=0) - e.min(axis=0)
@@ -388,7 +400,7 @@ def _step_dense(rhs: Callable[[np.ndarray], np.ndarray],
     _fill_powers(powers, s, m)
     states = np.empty((T, N, n))
     spread = np.empty((T, n))
-    mean = x0.mean(axis=0)
+    mean = _node_mean(x0)
     e = x0 - mean
     states[0] = x0
     spread[0] = e.max(axis=0) - e.min(axis=0)

@@ -63,6 +63,8 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -470,6 +472,26 @@ def test_symmetric_overflow_truncates_on_the_mode_path(monkeypatch, seed,
     traj = simulate_linear(sys, x0, 4.0, 0.1)
     assert traj.diverged and traj.times.shape[0] == k + 1
     assert np.isfinite(traj.states).all()
+
+
+@pytest.mark.parametrize("directed", [False, True],
+                         ids=["mode-path", "dense-path"])
+def test_node_mean_is_kept_when_the_node_sum_overflows(directed):
+    # the node sum of x0 overflows (64 * 1.6e307 > max) while its mean, 0,
+    # is in range: both simulators step the run instead of stopping at a
+    # NaN mean
+    lap = build_laplacian(random_connected_topology(
+        np.random.default_rng(1), 129, directed))
+    x0 = np.zeros((129, 1))
+    x0[:64], x0[64:128] = 1.6e307, -1.6e307
+    sys = LinearNetworkSystem(A=np.zeros((1, 1)), H_eff=-np.eye(1),
+                              sigma=1.0, laplacian=lap)
+    model = AgentModel(A=np.zeros((1, 1)), B=np.eye(1), K=-np.eye(1))
+    for traj in (simulate_linear(sys, x0, 0.01, 1e-3),
+                 simulate_agents(model, lap, x0, 0.01, 1e-3)):
+        assert not traj.diverged and traj.times.shape[0] == 11
+        assert np.isfinite(traj.states).all()
+        assert np.array_equal(traj.states[0], x0)
 
 
 def test_example3_verdict_holds_at_long_horizon():
@@ -1585,6 +1607,60 @@ def test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path,
 def test_trajectory_csv_bit_patterns_per_process_count(
         tmp_path, forced_processes):
     test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path)
+
+
+def _assert_slots_match_repr(values):
+    # the formatter's slots, NUL bytes deleted, against ",repr(v)" each
+    values = np.ascontiguousarray(values, dtype=float)
+    text = artifacts._format_slots(values).tobytes().translate(None, b"\0")
+    assert text.split(b",")[1:] == [repr(v).encode()
+                                    for v in values.tolist()]
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf),
+                           np.nextafter(values, np.inf)])
+
+
+def test_value_slots_match_repr_on_powers_of_two_and_ten():
+    # every +-2^k, subnormals included, and its upper neighbour (whose
+    # interval is regular where 2^k's is not); 1e-323 ... 1e308 and theirs
+    powers = 2.0 ** np.arange(-1074, 1024)
+    powers = np.concatenate([powers, np.nextafter(powers, np.inf)])
+    _assert_slots_match_repr(np.concatenate([powers, -powers]))
+    tens = _with_neighbours([float(f"1e{k}") for k in range(-323, 309)])
+    _assert_slots_match_repr(np.concatenate([tens, -tens]))
+
+
+def test_value_slots_match_repr_at_the_layout_switches():
+    # repr turns positional at 1e-4 and exponential at 1e16, so the
+    # decimal-point position moves through each side of 1e-5, 1e-4, 1e16
+    # and 1e17, one ulp apart; integers around 2^53, where the 17th digit
+    # stops being exact
+    switches = _with_neighbours([1e-5, 1e-4, 1e16, 1e17, 9.999999999999999e-5,
+                                 9999999999999998.0])
+    integers = 2.0 ** 53 + np.arange(-2000, 2001)
+    values = np.concatenate([switches, integers, 10 * integers,
+                             np.array(_CSV_SPECIALS)])
+    _assert_slots_match_repr(np.concatenate([values, -values]))
+
+
+def test_value_slots_match_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(28).integers(0, 2**64, 1_000_000,
+                                              dtype=np.uint64)
+    _assert_slots_match_repr(bits.view(np.float64))
+
+
+def test_import_leaves_the_formatter_tables_unbuilt():
+    # the tables are built by the first CSV write, not by ``import netsync``
+    src = os.path.dirname(os.path.dirname(artifacts.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import netsync, netsync.artifacts as a; "
+         "print(a._CSV_TABLES is None)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0 and proc.stdout == "True\n"
 
 
 def test_trajectory_csv_memory_is_bounded(tmp_path):
