@@ -42,7 +42,7 @@ from .duality import (
     pseudo_inverse,
     recovery_residual,
 )
-from .errors import DimensionMismatch, InvalidInput, NetsyncError
+from .errors import DimensionMismatch, InvalidInput, NetsyncError, _json_matrix
 from .graph import build_laplacian, is_connected, load_topology, spectrum
 
 EXIT_OK = 0
@@ -66,10 +66,7 @@ def _load_matrix(path) -> np.ndarray:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read matrix file {path}: {exc}") from exc
-    try:
-        m = np.array(payload, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path} is not a numeric matrix: {exc}") from exc
+    m = _json_matrix(str(path), payload)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:

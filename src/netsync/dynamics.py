@@ -17,18 +17,17 @@ Three simulators, all classical fixed-step 4th-order Runge-Kutta
 
 The nonlinear simulator steps RK4 one state at a time, in Python floats
 for every three-oscillator Rossler probe, whatever its coupling: one
-closure computes the coupling and the field of each stage.  The
-two linear simulators share propagators instead: one RK4 step of the
-simulator's own right-hand side, taken from probe states, gives the
-linear one-step maps, whose powers advance the run a block of steps per
-matrix product.  On a symmetric Laplacian ``L = U diag(lambda) U^T`` the
-network splits into the node mean and N - 1 independent n x n modes,
-one per eigenvector orthogonal to 1 (the master-stability split), and
-2n probe states give all N maps.  Any other Laplacian steps the dense
-map of the whole state, rewritten in node-mean / disagreement
-coordinates.  Either way the disagreement evolves on its own, so the
-cross-node spread the metrics read stays at its own scale when the
-common mode grows without bound.
+closure computes the coupling and the field of each stage.  The two
+linear simulators share one stepper over two map builders: RK4 steps of
+the simulator's own right-hand side from probe states give B one-step
+maps, whose powers advance the run a block of steps per matrix product.
+A symmetric Laplacian ``L = U diag(lambda) U^T`` splits the network into
+the node mean and N - 1 independent n x n modes, one per eigenvector
+orthogonal to 1 (the master-stability split), so B = N maps of size n;
+any other Laplacian gives B = 1 dense map of the whole state in
+node-mean / disagreement coordinates.  Either way the disagreement
+evolves on its own, so the cross-node spread the metrics read stays at
+its own scale when the common mode grows without bound.
 
 A non-finite state truncates the trajectory at the last finite step and
 flags it; a divergent run still produces a synchronization report.  The
@@ -82,16 +81,15 @@ _STABILITY_LIMIT = 2.5
 # leave before it skips the eigensolves: covers the rounding of the bound
 # and the eigensolvers' backward error.
 _STIFFNESS_BOUND_MARGIN = 1e-6
-# Entries of the stacked propagator powers [Z, ..., Z^s] of the linear
-# simulators: bounds their memory and the work of one block of steps.
+# Entries of the stacked map powers [Z, ..., Z^s] of the linear stepper:
+# bounds their memory and the work of one block of steps.
 _BLOCK_ELEMENTS = 1 << 16
 # Entries that one Python-level iteration hands to numpy: the basis states
-# stepped at once to build the one-step map, the group of states the
-# linear simulators advance before recombining, recording and checking
-# them, and the state entries of the chunk of time samples that the CSV
-# writer of :mod:`netsync.artifacts` formats at once.  Enough to
-# amortise the per-iteration calls; small enough to bound the buffers,
-# RK4 temporaries and text.
+# stepped at once to build the dense map, the group of states the linear
+# stepper advances before rebuilding and checking them, and the chunk of
+# samples the CSV writer of :mod:`netsync.artifacts` formats at once.
+# Enough to amortise the per-iteration calls, small enough to bound the
+# buffers, RK4 temporaries and text.
 _CHUNK_ELEMENTS = 1 << 12
 
 
@@ -222,25 +220,14 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     """RK4 over a uniform grid for a linear network coupled through L.
 
     rhs must be linear, accept a leading batch axis, and vanish on the
-    coupling of identical rows (``L 1 = 0``); the RK4 one-step maps come
-    from stepping probe states through it with :func:`_integrate_rk4`,
-    so each simulator is checked by its own right-hand side.  A symmetric
-    L whose ``2 ||L||_inf`` is finite steps mode by mode
-    (:func:`_step_modes`); any other L steps the dense propagator
-    (:func:`_step_dense`).  Either stepper stops after the first group of
-    samples with a non-finite state and flags the run diverged, and the
-    run is truncated here, at the last finite sample.
+    coupling of identical rows (``L 1 = 0``); the maps are RK4 steps of
+    probe states through it, so each simulator is checked by its own
+    right-hand side.  A symmetric L with finite ``2 ||L||_inf`` steps
+    mode by mode, any other L densely.
     """
     if np.array_equal(L, L.T) and math.isfinite(2.0 * _inf_norm(L)):
-        traj = _step_modes(rhs, L, x0, times)
-    else:
-        traj = _step_dense(rhs, x0, times)
-    if not traj.diverged:
-        return traj
-    last = int(np.argmin(np.isfinite(traj.states).all(axis=(1, 2))))
-    return Trajectory(times=traj.times[:last].copy(),
-                      states=traj.states[:last].copy(), diverged=True,
-                      spread=traj.spread[:last].copy())
+        return _step_maps(*_mode_maps(rhs, L, x0, times), x0, times)
+    return _step_maps(*_dense_maps(rhs, x0, times), x0, times)
 
 
 def _block_length(T: int, size: int, elements: int) -> int:
@@ -267,46 +254,82 @@ def _fill_powers(powers: np.ndarray, s: int, m: int) -> None:
         j += r
 
 
-def _node_mean(x: np.ndarray) -> np.ndarray:
-    """Mean of x over its leading (node) axis.  When the plain sum
-    overflows, the mean of x scaled by 2^-k with 2^k >= N, scaled back:
-    powers of two scale exactly, so every mean in range keeps its bits."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0)
+@np.errstate(over="ignore", invalid="ignore")
+def _step_maps(Z: np.ndarray, start, rebuild, x0: np.ndarray,
+               times: np.ndarray) -> Trajectory:
+    """The run from x0 under B one-step maps ``Z[i]`` of size b, truncated
+    at its last finite sample and then flagged diverged.
+
+    ``start(y, mean, e)`` writes the (B, b) coordinates y of x0 from its
+    node mean and ``e = x0 - 1 mean``; ``rebuild(y, e)`` writes the
+    disagreement of the (B, c b) coordinates of c samples, nodes first,
+    into the (N, c n) array e and returns their means as (c, 1, n).  Row
+    i advances by Z[i] (``y_{k+1} = y_k Z``), a block of s steps per
+    product with ``[Z, ..., Z^s]``, a group of blocks at a time; each
+    group writes ``x = 1 xbar + e`` and the spread of e.
+    """
+    N, n = x0.shape
+    B, b = Z.shape[:2]
+    T = times.shape[0]
+    s = _block_length(T, b, B * b * b)
+    powers = np.empty((B, b, s * b))
+    powers[..., :b] = Z
+    _fill_powers(powers, s, b)
+    states, spread = np.empty((T, N, n)), np.empty((T, n))
+    mean = x0.mean(axis=0)
     if not np.isfinite(mean).all():
-        up = 2.0 ** (x.shape[0] - 1).bit_length()
-        mean = (x / up).mean(axis=0) * up
-    return mean
+        # the node sum overflowed: the mean of x0 times 2^-k, 2^k >= N,
+        # scaled back keeps every bit of a mean in range
+        up = 2.0 ** (N - 1).bit_length()
+        mean = (x0 / up).mean(axis=0) * up
+    e = x0 - mean
+    states[0] = x0
+    spread[0] = e.max(axis=0) - e.min(axis=0)
+    g = max(1, _CHUNK_ELEMENTS // (s * B * b))
+    # coords[:, :b] is y; the blocks of a group fill the rest
+    coords = np.empty((B, (g * s + 1) * b))
+    start(coords[:, :b], mean, e)
+    disagreement = np.empty((N, g * s * n))
+    k = 0
+    while k < T - 1:
+        c = min(g * s, T - 1 - k)
+        for j in range(0, c, s):
+            np.matmul(coords[:, None, j * b:(j + 1) * b], powers,
+                      out=coords[:, None, (j + 1) * b:(j + 1 + s) * b])
+        xbar = rebuild(coords[:, b:(c + 1) * b], disagreement[:, :c * n])
+        e = disagreement[:, :c * n].reshape(N, c, n)
+        x = states[k + 1:k + 1 + c]
+        np.add(xbar, e.transpose(1, 0, 2), out=x)
+        # the node axis leads e, so max and min run over contiguous rows
+        spread[k + 1:k + 1 + c] = e.max(axis=0) - e.min(axis=0)
+        coords[:, :b] = coords[:, c * b:(c + 1) * b]
+        if not np.isfinite(x).all():
+            last = k + 1 + int(np.argmin(np.isfinite(x).all(axis=(1, 2))))
+            return Trajectory(times[:last].copy(), states[:last].copy(),
+                              True, spread[:last].copy())
+        k += c
+    return Trajectory(times, states, spread=spread)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
-                x0: np.ndarray, times: np.ndarray) -> Trajectory:
-    """The run of a symmetric L whose ``2 ||L||_inf`` is finite, in modal
-    coordinates, through the first group of samples with a non-finite
-    state, if any, which flags it diverged.
+def _mode_maps(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
+               x0: np.ndarray, times: np.ndarray) -> tuple:
+    """:func:`_step_maps`'s N maps of size n for a symmetric L.
 
     With ``L = U diag(lambda) U^T``, the network splits into the node
-    mean and N - 1 independent n x n systems, one per eigenvector
-    orthogonal to 1 (a disconnected graph keeps its other zero modes).
-    U holds those N - 1 eigenvectors, so the common mode has no
-    coordinate in y: were it there, the rounding of a large node mean
-    would grow with the mean and swamp the spread.  Two sets of n probe
-    states give every one-step map: ``1 e_i^T`` steps the node mean, so
-    the mean of its step is row i of the mean's map Z_0; ``(U 1) e_i^T``
-    has every modal coordinate ``e_i^T``, so row k of ``U^T`` times its
-    step is row i of mode k's map Z_k.  The node mean steps by Z_0 and
-    the disagreement's coordinates ``y = U^T (x0 - 1 xbar)`` by the Z_k,
-    a block of s steps per product with ``[Z, ..., Z^s]``, a group of
-    blocks at a time; each group writes ``x = 1 xbar + U y`` and the
-    spread of ``U y``, so the metrics read the disagreement at its own
-    scale.  A modal coordinate can hold sqrt(N) times the largest
-    disagreement, so y is held times ``2^-k`` with ``4^k >= N``, and
-    ``U y`` scaled back: powers of two scale exactly, so no coordinate
-    overflows before the states do, and every in-range bit is kept.
+    mean and N - 1 n x n systems, one per eigenvector orthogonal to 1 (a
+    disconnected graph keeps its other zero modes).  U holds only those,
+    so the rounding of a large node mean, which grows with the mean,
+    never enters y.  Two sets of n probe states give every map: the mean
+    of the step of ``1 e_i^T`` is row i of the mean's map Z_0, and row k
+    of ``U^T`` times the step of ``(U 1) e_i^T``, whose every modal
+    coordinate is ``e_i^T``, is row i of mode k's map Z_k.  The
+    coordinates are xbar and ``y = U^T e 2^-k`` with ``4^k >= N``, as a
+    modal coordinate can hold sqrt(N) times the largest disagreement,
+    and x is rebuilt as ``1 xbar + U y 2^k``: powers of two scale
+    exactly, so no coordinate overflows before the states do.
     """
     N, n = x0.shape
-    T = times.shape[0]
     # shifted by this multiple of 1 1^T / N, 1 / sqrt(N) has an eigenvalue
     # above all of L's (they lie within ||L||_inf of 0), so eigh puts it
     # last, separated, and the other columns are orthogonal to 1
@@ -320,71 +343,38 @@ def _step_modes(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
                                        times[:2])
     step = (np.full((2, n, N, n), np.inf) if diverged
             else step[1].reshape(2, n, N, n))
-    s = _block_length(T, n, N * n * n)
-    # powers[0] holds the mean's powers, powers[1 + k] mode k's
-    powers = np.zeros((N, n, s * n))
-    powers[0, :, :n] = step[0].mean(axis=1)
-    powers[1:, :, :n] = (U.T @ step[1]).transpose(1, 0, 2)
-    _fill_powers(powers, s, n)
-
+    Z = np.empty((N, n, n))     # the mean's map, then mode k's at 1 + k
+    Z[0] = step[0].mean(axis=1)
+    Z[1:] = (U.T @ step[1]).transpose(1, 0, 2)
     up = 2.0 ** (((N - 1).bit_length() + 1) // 2)   # least 2^k, 4^k >= N
-    states = np.empty((T, N, n))
-    spread = np.empty((T, n))
-    mean = _node_mean(x0)
-    e = x0 - mean
-    states[0] = x0
-    spread[0] = e.max(axis=0) - e.min(axis=0)
-    # coords[:, :n] is (xbar, 2^-k y); the blocks of a group fill the rest
-    g = max(1, _CHUNK_ELEMENTS // (s * N * n))
-    coords = np.empty((N, (g * s + 1) * n))
-    coords[0, :n] = mean
-    coords[1:, :n] = U.T @ (e / up)
-    disagreement = np.empty((N, g * s * n))
-    k, finite = 0, True
-    while finite and k < T - 1:
-        b = min(g * s, T - 1 - k)
-        for j in range(0, b, s):
-            np.matmul(coords[:, None, j * n:(j + 1) * n], powers,
-                      out=coords[:, None, (j + 1) * n:(j + 1 + s) * n])
-        e = np.matmul(U, coords[1:, n:(b + 1) * n],
-                      out=disagreement[:, :b * n])
+
+    def start(y, mean, e):
+        y[0] = mean
+        y[1:] = U.T @ (e / up)
+
+    def rebuild(y, e):
+        np.matmul(U, y[1:], out=e)
         e *= up
-        e = e.reshape(N, b, n)
-        x = states[k + 1:k + 1 + b]
-        np.add(coords[0, n:(b + 1) * n].reshape(b, 1, n),
-               e.transpose(1, 0, 2), out=x)
-        # the node axis leads e, so max and min run over contiguous rows
-        spread[k + 1:k + 1 + b] = e.max(axis=0) - e.min(axis=0)
-        coords[:, :n] = coords[:, b * n:(b + 1) * n]
-        k += b
-        finite = np.isfinite(x).all()
-    return Trajectory(times=times[:k + 1], states=states[:k + 1],
-                      diverged=not finite, spread=spread[:k + 1])
+        return y[0].reshape(-1, 1, n)
+
+    return Z, start, rebuild
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _step_dense(rhs: Callable[[np.ndarray], np.ndarray],
-                x0: np.ndarray, times: np.ndarray) -> Trajectory:
-    """The run of any L by its dense propagator, through the first group
-    of samples with a non-finite state, if any, which flags it diverged.
+def _dense_maps(rhs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
+                times: np.ndarray) -> tuple:
+    """:func:`_step_maps`'s one map of size n + Nn, for any L.
 
-    The RK4 one-step map is built by stepping basis states, then
-    rewritten in the coordinates ``y = (xbar, e)``: the node mean xbar
-    and the disagreement ``e = x - 1 xbar``.  Since the coupling
-    annihilates ``1 xbar``, e evolves under its own closed block and the
-    rounding noise of a large xbar never enters it.  Runs advance a
-    block of s steps per product ``y @ [Z, Z^2, ..., Z^s]``, a group of
-    blocks at a time; each group writes ``x = 1 xbar + e`` and the spread
-    of e.
+    The RK4 map of basis states is rewritten in the coordinates
+    ``(xbar, e)``, the node mean and ``e = x - 1 xbar``, and x rebuilt as
+    ``1 xbar + e``.  Since the coupling annihilates ``1 xbar``, e evolves
+    under its own closed block and the rounding of a large xbar never
+    enters it.
     """
     N, n = x0.shape
     D = N * n
     m = n + D
-    T = times.shape[0]
-    s = _block_length(T, m, m * m)
-    # powers[:, (j-1) m : j m] is Z^j; y_{k+1} = y_k Z, row convention
-    powers = np.zeros((m, s * m))
-    Z = powers[:, :m]
+    Z = np.zeros((m, m))
     P = Z[n:, n:]
     chunk = max(1, _CHUNK_ELEMENTS // D)
     for j in range(0, D, chunk):
@@ -397,37 +387,18 @@ def _step_dense(rhs: Callable[[np.ndarray], np.ndarray],
     Z[n:, :n] = P.reshape(D, N, n).mean(axis=1)
     P.reshape(D, N, n)[...] -= Z[n:, None, :n]
     Z[:n, :n] = Z[n:, :n].reshape(N, n, n).sum(axis=0)
-    _fill_powers(powers, s, m)
-    states = np.empty((T, N, n))
-    spread = np.empty((T, n))
-    mean = _node_mean(x0)
-    e = x0 - mean
-    states[0] = x0
-    spread[0] = e.max(axis=0) - e.min(axis=0)
-    # ys[0] is y; the blocks of one group fill ys[1:] in turn
-    g = max(1, _CHUNK_ELEMENTS // (s * m))
-    ys = np.empty((g * s + 1, m))
-    flat = ys.reshape(-1)
-    ys[0, :n] = mean
-    ys[0, n:] = e.ravel()
-    k, finite = 0, True
-    while finite and k < T - 1:
-        b = min(g * s, T - 1 - k)
-        for j in range(0, b, s):
-            np.matmul(ys[j], powers, out=flat[(j + 1) * m:(j + 1 + s) * m])
-        e = ys[1:b + 1, n:].reshape(b, N, n)
-        x = states[k + 1:k + 1 + b]
-        np.add(ys[1:b + 1, None, :n], e, out=x)
-        # max and min along the contiguous last axis of a nodes-last copy
-        # run several times faster than along e's strided node axis; both
-        # are exact, so the spread keeps its bits
-        t = e.transpose(0, 2, 1).copy()
-        spread[k + 1:k + 1 + b] = t.max(axis=2) - t.min(axis=2)
-        ys[0] = ys[b]
-        k += b
-        finite = np.isfinite(x).all()
-    return Trajectory(times=times[:k + 1], states=states[:k + 1],
-                      diverged=not finite, spread=spread[:k + 1])
+
+    def start(y, mean, e):
+        y[0, :n] = mean
+        y[0, n:] = e.ravel()
+
+    def rebuild(y, e):
+        y = y.reshape(-1, m)
+        np.copyto(e.reshape(N, -1, n),
+                  y[:, n:].reshape(-1, N, n).transpose(1, 0, 2))
+        return y[:, None, :n]
+
+    return Z[None], start, rebuild
 
 
 def _check_x0(x0, n_nodes: int, node_dim: int | None = None) -> np.ndarray:
@@ -510,8 +481,7 @@ def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
     The trajectory coincides with :func:`simulate_linear` under
     ``H_eff = B K, sigma = c``; asserted in the test suite, not assumed
     here: the right-hand side below is evaluated from degrees and
-    adjacency, not from L itself.  Warns as :func:`simulate_linear` does
-    under ``H_eff = B K, sigma = c``.
+    adjacency, not from L itself.  Warns as :func:`simulate_linear` does.
     """
     if model.K is None:
         raise PreconditionViolation("agent model has no feedback gain K")

@@ -98,3 +98,18 @@ def _square_matrices(what: str, *arrays, dtype=float) -> list:
                                 f"shape, got {[m.shape for m in ms]}")
     _require_finite(what, *ms)
     return ms
+
+
+def _json_matrix(what: str, payload) -> np.ndarray:
+    """A parsed JSON array, or array of arrays, of numbers as a float
+    array.  Any entry that is not a JSON int or float is InvalidInput, a
+    string or a boolean too, which ``np.array(..., dtype=float)`` would
+    coerce; so is a ragged array or an int beyond the float range."""
+    for row in payload if isinstance(payload, list) else [payload]:
+        for entry in row if isinstance(row, list) else [row]:
+            if type(entry) not in (int, float):
+                raise InvalidInput(f"{what}: {entry!r} is not a number")
+    try:
+        return np.array(payload, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{what} is not a numeric matrix: {exc}") from exc

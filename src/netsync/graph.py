@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import EigensolverFailure, InvalidInput
+from .errors import EigensolverFailure, InvalidInput, _json_matrix
 
 __all__ = [
     "Topology",
@@ -219,13 +218,7 @@ def load_topology(path) -> Topology:
     directed = payload.get("directed", False)
     if not isinstance(directed, bool):
         raise InvalidInput("'directed' must be a JSON boolean")
-    weights = payload["weights"]
-    if not isinstance(weights, Sequence):
-        raise InvalidInput("'weights' must be an array of arrays")
-    try:
-        w = np.array(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"'weights' is not numeric: {exc}") from exc
+    w = _json_matrix("'weights'", payload["weights"])
     if w.ndim != 2:
         raise InvalidInput("'weights' must be a 2-D array")
     return Topology(n_nodes=w.shape[0], directed=directed, weights=w)

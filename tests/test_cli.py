@@ -28,7 +28,7 @@ from helpers import assert_no_child_left, force_csv_processes
 
 import netsync
 from netsync import artifacts, errors, scenarios
-from netsync.cli import build_parser, main
+from netsync.cli import _load_matrix, build_parser, main
 from netsync.scenarios import load_fixture
 
 
@@ -284,6 +284,24 @@ def test_wrong_shaped_matrix_file_is_usage_error(path_topology_file,
                  ["dualize", "--B", b_file, "--H", h_file]):
         assert main(argv) == 2, argv
         assert "DimensionMismatch" in capsys.readouterr().err, argv
+
+
+def test_matrix_entries_that_are_not_json_numbers_are_usage_errors(
+        path_topology_file, tmp_path, capsys):
+    # np.array(..., dtype=float) would read "0.5" and true as numbers, and
+    # an integer beyond the float range would end in a raw OverflowError
+    for rows, weights in (([["0.5", 1], [True, -2]], [[0, "1"], [True, 0]]),
+                          ([[1, 10 ** 400], [0, 1]],
+                           [[0, 10 ** 400], [10 ** 400, 0]])):
+        A = _write_json(tmp_path / "A.json", rows)
+        with pytest.raises(errors.InvalidInput, match="number|numeric"):
+            _load_matrix(A)
+        assert main(["design", "--A", A, "--topology",
+                     path_topology_file]) == 2
+        topology = _write_json(tmp_path / "topology.json",
+                               {"directed": False, "weights": weights})
+        assert main(["spectrum", "--topology", topology]) == 2
+        assert capsys.readouterr().err.count("InvalidInput") == 2
 
 
 # ── dualize ──────────────────────────────────────────────────────────────────
@@ -623,7 +641,8 @@ _MALFORMED = st.one_of(
     st.lists(_FINITE, max_size=3),                      # 1-D, also empty
     st.lists(st.lists(_FINITE, min_size=1, max_size=3), min_size=1,
              max_size=3),                               # ragged or misfit
-    st.sampled_from([[[]], [[[1.0]]], [["x"]], "A", {"a": 1}, None, True]))
+    st.sampled_from([[[]], [[[1.0]]], [["x"]], [["1"]], [[True]], "A",
+                     {"a": 1}, None, True]))
 _TOPOLOGIES = st.sampled_from([
     {"directed": False, "weights": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]},
     {"directed": False, "weights": [[0, 2], [2, 0]]},

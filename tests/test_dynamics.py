@@ -16,14 +16,16 @@ Covers:
     norm bound clears, and warning exactly when the exact modulus
     reaches the limit), step-halving sanity,
     tail log-slope matching the slowest transverse mode
-  - the linear propagators (mode by mode on a symmetric Laplacian, dense
-    otherwise) against a per-step RK4 loop, also on a short run whose
-    block length the run length caps, on a disconnected graph whose two
-    zero modes must both be kept and on random symmetric Laplacians,
-    connected or not; their recorded spread, truncation inside a block
-    and inside a group of blocks, a symmetric run truncated at its
-    states' last finite step without the dense map, and example3's
-    verdict at a horizon where the raw states reach 1e15
+  - the one linear stepper over both map builders (N mode maps on a
+    symmetric Laplacian, one dense map otherwise) against a per-step RK4
+    loop, also on a short run whose block length the run length caps,
+    on a disconnected graph whose two zero modes must both be kept and
+    on random symmetric Laplacians, connected or not; the recorded
+    spread, also of a symmetric Laplacian's dense map through the same
+    loop, truncation inside a block and inside a group of blocks, a
+    symmetric run truncated at its states' last finite step without the
+    dense map builder, and example3's verdict at a horizon where the raw
+    states reach 1e15
   - the nonlinear simulator's numpy path bit for bit against a per-step
     RK4 loop (designed, selector, random zero-row-sum and per-node
     couplings), and a finite state whose sum overflows running to the end
@@ -48,8 +50,9 @@ Covers:
     the node dynamic or coupling does not fit, and the per-node fallback
     for callables that broadcast wrong
   - the CSV writer byte for byte against the reference on generated
-    64-bit patterns, and its memory bounded by one chunk, each also with
-    the file forced onto 1, 2 and 3 processes; its process count bounded
+    64-bit patterns, one reference per example against the file forced
+    onto 1, 2 and 3 processes, and its memory bounded by one chunk, also
+    with the file forced onto 1, 2 and 3 processes; its process count bounded
     by the CPUs and the file size, the file split inside a daemonic
     worker too, the range of a killed or unforked worker written by the
     parent, a worker ignoring SIGINT, a failing worker or an interrupt
@@ -458,7 +461,7 @@ def test_symmetric_overflow_truncates_on_the_mode_path(monkeypatch, seed,
     def no_dense(*args):
         raise AssertionError("a symmetric run stepped the dense map")
 
-    monkeypatch.setattr(dynamics, "_step_dense", no_dense)
+    monkeypatch.setattr(dynamics, "_dense_maps", no_dense)
     rng = np.random.default_rng(seed)
     lap = build_laplacian(random_connected_topology(rng, n_nodes))
     modes = np.linalg.eigh(lap.matrix)[1][:, 1:]
@@ -519,8 +522,10 @@ def test_mode_path_spread_stays_at_its_scale_as_the_common_mode_grows():
 
     x0 = rng.uniform(-1, 1, (N, 2))
     times = dynamics._time_grid(140.0, 1e-2)
-    modes = dynamics._step_modes(rhs, L, x0, times)
-    dense = dynamics._step_dense(rhs, x0, times)
+    modes = dynamics._step_maps(*dynamics._mode_maps(rhs, L, x0, times), x0,
+                                times)
+    dense = dynamics._step_maps(*dynamics._dense_maps(rhs, x0, times), x0,
+                                times)
     assert 1e29 < np.abs(modes.states[-1]).max() < np.inf
     assert dense.spread[-1].max() < 1e-60
     assert (np.abs(modes.spread - dense.spread) <= 1e-8 * dense.spread).all()
@@ -1503,7 +1508,8 @@ _CSV_SPECIALS = [-0.0, 5e-324, float("inf"), float("-inf"), float("nan"),
 
 
 # the writer tests below run again with the file split over 1, 2 and 3
-# processes (a ``*_per_process_count`` test each)
+# processes (a ``*_per_process_count`` test each; the bit-pattern
+# property forces each count itself, against one reference per example)
 @pytest.fixture(params=[1, 2, 3], ids=["1-process", "2-processes",
                                         "3-processes"])
 def forced_processes(request, monkeypatch):
@@ -1596,17 +1602,24 @@ def _bit_pattern_trajectories(draw):
                                                       node_dim))
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(traj=_bit_pattern_trajectories())
 def test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path,
                                                               traj):
-    _assert_csv_matches_reference(traj, tmp_path)
-
-
-def test_trajectory_csv_bit_patterns_per_process_count(
-        tmp_path, forced_processes):
-    test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path)
+    # one slow reference per example against the file as the writer
+    # splits it by itself, then forced onto 1, 2 and 3 processes (the
+    # writer forks on Linux only)
+    _reference_csv(traj, tmp_path / "reference.csv")
+    reference = (tmp_path / "reference.csv").read_bytes()
+    for processes in ([None, 1, 2, 3] if sys.platform == "linux"
+                      else [None, 1]):
+        with pytest.MonkeyPatch.context() as patch:
+            if processes is not None:
+                force_csv_processes(patch, processes)
+            write_trajectory_csv(traj, tmp_path / "fast.csv")
+        assert_no_child_left()
+        assert (tmp_path / "fast.csv").read_bytes() == reference, processes
 
 
 def _assert_slots_match_repr(values):

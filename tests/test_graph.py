@@ -306,3 +306,14 @@ def test_topology_json_rejects_invalid(tmp_path):
             load_topology(bad)
     with pytest.raises(InvalidInput):
         load_topology(tmp_path / "missing.json")
+
+
+def test_topology_weights_must_be_json_numbers(tmp_path):
+    # np.array(..., dtype=float) would read "1" and true as weights, and an
+    # integer beyond the float range would end in a raw OverflowError
+    bad = tmp_path / "bad.json"
+    for weights in ([[0, "1"], [True, 0]], [[0, 1], [1, None]],
+                    [[0, 10 ** 400], [10 ** 400, 0]], "01"):
+        bad.write_text(json.dumps({"directed": False, "weights": weights}))
+        with pytest.raises(InvalidInput, match="weights"):
+            load_topology(bad)
