@@ -50,9 +50,8 @@ Covers:
     the node dynamic or coupling does not fit, and the per-node fallback
     for callables that broadcast wrong
   - the CSV writer byte for byte against the reference on generated
-    64-bit patterns, one reference per example against the file forced
-    onto 1, 2 and 3 processes, and its memory bounded by one chunk, also
-    with the file forced onto 1, 2 and 3 processes; its process count bounded
+    64-bit patterns, and its memory bounded by one chunk, each also with
+    the file forced onto 1, 2 and 3 processes; its process count bounded
     by the CPUs and the file size, the file split inside a daemonic
     worker too, the range of a killed or unforked worker written by the
     parent, a worker ignoring SIGINT, a failing worker or an interrupt
@@ -1508,8 +1507,7 @@ _CSV_SPECIALS = [-0.0, 5e-324, float("inf"), float("-inf"), float("nan"),
 
 
 # the writer tests below run again with the file split over 1, 2 and 3
-# processes (a ``*_per_process_count`` test each; the bit-pattern
-# property forces each count itself, against one reference per example)
+# processes (a ``*_per_process_count`` test each)
 @pytest.fixture(params=[1, 2, 3], ids=["1-process", "2-processes",
                                         "3-processes"])
 def forced_processes(request, monkeypatch):
@@ -1607,19 +1605,12 @@ def _bit_pattern_trajectories(draw):
 @given(traj=_bit_pattern_trajectories())
 def test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path,
                                                               traj):
-    # one slow reference per example against the file as the writer
-    # splits it by itself, then forced onto 1, 2 and 3 processes (the
-    # writer forks on Linux only)
-    _reference_csv(traj, tmp_path / "reference.csv")
-    reference = (tmp_path / "reference.csv").read_bytes()
-    for processes in ([None, 1, 2, 3] if sys.platform == "linux"
-                      else [None, 1]):
-        with pytest.MonkeyPatch.context() as patch:
-            if processes is not None:
-                force_csv_processes(patch, processes)
-            write_trajectory_csv(traj, tmp_path / "fast.csv")
-        assert_no_child_left()
-        assert (tmp_path / "fast.csv").read_bytes() == reference, processes
+    _assert_csv_matches_reference(traj, tmp_path)
+
+
+def test_trajectory_csv_bit_patterns_per_process_count(
+        tmp_path, forced_processes):
+    test_trajectory_csv_bytes_match_reference_on_bit_patterns(tmp_path)
 
 
 def _assert_slots_match_repr(values):
