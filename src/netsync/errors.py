@@ -78,21 +78,24 @@ def _require_positive(name: str, value) -> None:
         raise PreconditionViolation(f"{name} must be positive and finite")
 
 
+def _numeric_array(what: str, a, dtype=float) -> np.ndarray:
+    """a as a numeric array; dtype None keeps its type.  A ragged or
+    non-numeric input is InvalidInput, and so is a complex one for a
+    real dtype, which would drop its imaginary part."""
+    try:
+        if dtype is not None and np.iscomplexobj(a):
+            raise TypeError("a complex matrix where a real one is needed")
+        m = np.asarray(a, dtype=dtype)
+        if m.dtype.kind not in "biufc":
+            raise TypeError(f"non-numeric dtype {m.dtype}")
+    except (ValueError, TypeError) as exc:
+        raise InvalidInput(f"{what}: {exc}") from exc
+    return m
+
+
 def _square_matrices(what: str, *arrays, dtype=float) -> list:
-    """Finite square matrices of one shape; dtype None keeps each type.
-    A ragged or non-numeric input is InvalidInput, and so is a complex
-    one for a real dtype, which would drop its imaginary part."""
-    ms = []
-    for a in arrays:
-        try:
-            if dtype is not None and np.iscomplexobj(a):
-                raise TypeError("a complex matrix where a real one is needed")
-            m = np.atleast_2d(np.asarray(a, dtype=dtype))
-            if m.dtype.kind not in "biufc":
-                raise TypeError(f"non-numeric dtype {m.dtype}")
-        except (ValueError, TypeError) as exc:
-            raise InvalidInput(f"{what}: {exc}") from exc
-        ms.append(m)
+    """Finite square matrices of one shape, each read by _numeric_array."""
+    ms = [np.atleast_2d(_numeric_array(what, a, dtype)) for a in arrays]
     if any(m.shape != ms[0].shape[:1] * 2 for m in ms):
         raise DimensionMismatch(f"{what}: need square matrices of one "
                                 f"shape, got {[m.shape for m in ms]}")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolverFailure, InvalidInput, _json_matrix
+from .errors import (EigensolverFailure, InvalidInput, _json_matrix,
+                     _numeric_array)
 
 __all__ = [
     "Topology",
@@ -45,7 +46,7 @@ class Topology:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _numeric_array("weights", self.weights)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidInput(f"weights must be square, got shape {w.shape}")
         if self.n_nodes != w.shape[0]:
@@ -72,7 +73,7 @@ class Laplacian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _numeric_array("Laplacian", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"Laplacian must be square, got shape {m.shape}")
         n = m.shape[0]

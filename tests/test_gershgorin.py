@@ -5,21 +5,28 @@ Covers:
     that are not square, 2-D, numeric or finite rejected
   - half-plane classification
   - the rotation certificate: worked examples, preconditions (a
-    non-finite rho among them), and a
-    1000-trial randomized soundness suite against the dense eigensolver
-  - real projection: entrywise behavior, radius shrinkage, and a
-    1000-trial half-plane preservation suite
+    non-finite or non-numeric rho among them), a radius that overflows,
+    a 1000-trial randomized soundness suite against the dense
+    eigensolver, a property against the numpy formulation it replaced,
+    and the last-Z memo (in-place mutation, alternation, list vs array)
+  - real projection: entrywise behavior, radius shrinkage, a
+    1000-trial half-plane preservation suite, and non-numeric input
   - monotonicity of the certificate in |theta| for diagonal matrices,
     plus a documented counterexample showing the radial condition is
     not monotone for nonzero radii
 """
 
+import cmath
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import admissible_rotation_window, strictly_left_matrix
+from hypothesis import given, settings, strategies as st
 
 from netsync import (
+    gershgorin,
     HalfPlane,
     InvalidInput,
     PreconditionViolation,
@@ -118,6 +125,181 @@ def test_rotation_preconditions():
         rotation_admissible([[-np.inf]], 1.0)                  # Z not finite
 
 
+@pytest.mark.filterwarnings("error")
+def test_rotation_rejects_non_numeric_rho():
+    for rho in ("abc", None, [1, 2], {}):
+        with pytest.raises(InvalidInput):
+            rotation_admissible(-np.eye(2), rho)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_radius_is_only_a_precondition_violation():
+    # every entry is finite, but row 0's radius 2e308 is not a float
+    Z = [[-1e308, 1e308, 1e308], [0, -1, 0], [0, 0, -1]]
+    with pytest.raises(PreconditionViolation):
+        rotation_admissible(Z, 1.0)
+    assert discs(Z).radii.tolist() == [np.inf, 0.0, 0.0]
+    # an entry whose modulus alone overflows
+    Z = [[-1.0, 1.7e308 + 1.7e308j], [0.0, -1.0]]
+    with pytest.raises(PreconditionViolation):
+        rotation_admissible(Z, 1.0)
+    assert discs(Z).radii.tolist() == [np.inf, 0.0]
+
+
+def _numpy_certificate(Z, rho):
+    """The certificate in numpy arrays, as rotation_admissible computed it
+    before its scalar pass, except that a rho complex() rejects is
+    InvalidInput here too; with the smallest slack of its three
+    conditions relative to their scale: a verdict is compared only
+    where that slack is not tiny."""
+    try:
+        rho = complex(rho)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(str(exc)) from exc
+    if not (rho.real > 0.0 and cmath.isfinite(rho)):
+        raise PreconditionViolation("rho")
+    try:
+        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(str(exc)) from exc
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise PreconditionViolation("square")
+    if not np.isfinite(Z).all():
+        raise InvalidInput("finite")
+    centers = np.diag(Z).copy()
+    moduli = np.abs(centers)
+    radii = np.abs(Z).sum(axis=1) - moduli
+    scale = max(1.0, np.abs(Z).max(initial=0.0))
+    left = -(centers.real + radii)
+    if np.any(np.abs(left) < 1e-9 * scale):
+        return None, 0.0
+    if not np.all(left > 0.0):
+        raise PreconditionViolation("left")
+    theta = abs(np.arctan2(rho.imag, rho.real))
+    radial = moduli * np.sin(theta) - radii
+    angular = np.abs(np.arctan2(centers.imag, centers.real)) - 2.0 * theta - np.pi / 2.0
+    verdict = bool(np.all(radial >= 0.0) and np.all(angular > 0.0))
+    # a row without off-diagonal entries has radius exactly 0 either way
+    slack = min(np.abs(radial[radii > 0.0]).min(initial=np.inf) / scale,
+                np.abs(angular).min(initial=np.inf))
+    return verdict, slack
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args), None
+    except Exception as exc:  # the class is compared
+        return None, type(exc)
+
+
+@st.composite
+def _certificate_cases(draw):
+    """Z: a general real or complex matrix whose discs sit left or not,
+    or sigma*diag(entries) with the modal entries of a directed design
+    (argument magnitude in (pi/2, pi], conjugate pairs among them); rho
+    in the open right half-plane."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["real", "complex", "design"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "design":
+        k = draw(st.integers(0, n // 2))             # conjugate pairs
+        phis = rng.uniform(np.pi / 2 + 1e-3, np.pi, n - k)
+        entries = rng.uniform(0.1, 10.0, n - k) * np.exp(1j * phis)
+        entries = np.concatenate([entries, entries[:k].conj()])
+        Z = draw(st.floats(0.5, 2.0)) * np.diag(rng.permutation(entries))
+    else:
+        Z = rng.normal(0.0, 1.0, (n, n))
+        if kind == "complex":
+            Z = Z + 1j * rng.normal(0.0, 1.0, (n, n))
+        np.fill_diagonal(Z, 0.0)
+        # a center left of its disc's reach, or sometimes short of it
+        reach = np.abs(Z).sum(axis=1) * rng.uniform(0.5, 3.0, n) + 0.1
+        Z[np.diag_indices(n)] -= reach
+        if kind == "complex":
+            Z[np.diag_indices(n)] += 1j * rng.normal(0.0, 2.0, n)
+    theta = draw(st.floats(-np.pi / 2, np.pi / 2, exclude_min=True,
+                           exclude_max=True))
+    rho = draw(st.floats(0.1, 10.0)) * cmath.exp(1j * theta)
+    return Z, rho
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_certificate_cases())
+def test_certificate_matches_numpy_formulation(case):
+    Z, rho = case
+    result, expected_exc = _outcome(_numpy_certificate, Z, rho)
+    expected, slack = result or (None, np.inf)
+    if expected_exc is None and (expected is None or slack < 1e-9):
+        return  # on a boundary rounding may decide either way
+    assert _outcome(rotation_admissible, Z, rho) == (expected, expected_exc)
+
+
+_MALFORMED_Z = [
+    [[1.0, 2.0], [3.0]], "abc", [["a"]], None, {}, [[np.nan]],
+    [[-np.inf, 0.0], [0.0, -1.0]], [[-1.0, complex(0.0, np.nan)], [0.0, -1.0]],
+    np.zeros((2, 3)), -np.ones((2, 2, 2)), [-1.0, -2.0], -1.0, [[2.0]],
+]
+_MALFORMED_RHO = ["abc", None, [1, 2], {}, np.nan, np.inf, -1.0, 0.0, 1j,
+                  complex(1.0, np.inf), "1+2j", np.float64(2.0)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(Z=st.sampled_from(_MALFORMED_Z + [-np.eye(2)]),
+       rho=st.sampled_from(_MALFORMED_RHO + [1.0 + 0.5j]))
+def test_certificate_errors_match_numpy_formulation(Z, rho):
+    result, expected_exc = _outcome(_numpy_certificate, Z, rho)
+    expected = None if result is None else result[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(rotation_admissible, Z, rho) == (expected, expected_exc)
+
+
+# ── the last-Z memo ──────────────────────────────────────────────────────────
+
+
+def test_memo_sees_in_place_mutation():
+    Z = np.diag([-1.0 + 0j, -1.0 + 0j])
+    rho = np.exp(0.3j)
+    assert rotation_admissible(Z, rho)
+    Z[0, 1] = 0.9                       # radius 0.9 > sin(0.3)
+    assert not rotation_admissible(Z, rho)
+    Z[0, 1] = 0.0
+    assert rotation_admissible(Z, rho)
+    Z[0, 0] = 1.0                       # a disc on the right
+    with pytest.raises(PreconditionViolation):
+        rotation_admissible(Z, rho)
+    Z[0, 0] = np.nan
+    with pytest.raises(InvalidInput):
+        rotation_admissible(Z, rho)
+
+
+def test_memo_alternating_matrices():
+    admits = np.diag([-1.0, -1.0])
+    rejects = np.array([[-1.0, 0.9], [0.0, -1.0]])  # 0.9 > sin(0.3)
+    rho = np.exp(0.3j)
+    for _ in range(3):
+        assert rotation_admissible(admits, rho)
+        assert not rotation_admissible(rejects, rho)
+    # a rejected precondition leaves the last certified rows usable
+    with pytest.raises(PreconditionViolation):
+        rotation_admissible(-rejects, rho)
+    assert not rotation_admissible(rejects, rho)
+
+
+def test_memo_list_and_array_with_equal_values():
+    values = [[-4.0, 0.6], [0.0, -4.0]]
+    for rho in (np.exp(1j * np.radians(12.0)), np.exp(1j * np.radians(1.0))):
+        verdict = rotation_admissible(values, rho)
+        rows = gershgorin._last[1]
+        assert len(rows) == 2
+        # float and complex128 copies of the same numbers share a key
+        assert rotation_admissible(np.array(values), rho) is verdict
+        assert rotation_admissible(np.array(values, dtype=complex), rho) is verdict
+        assert gershgorin._last[1] is rows
+    assert rotation_admissible(values, np.exp(1j * np.radians(12.0)))
+    assert not rotation_admissible(values, np.exp(1j * np.radians(1.0)))
+
+
 def test_rotation_certificate_randomized_1000():
     """Soundness: whenever the certificate accepts, every eigenvalue of
     rho * Z lies strictly in the open left half-plane."""
@@ -168,6 +350,13 @@ def test_real_projection_entrywise():
 def test_real_projection_identity_on_reals():
     Z = np.array([[-2.0, 0.3], [0.1, -1.0]])
     assert np.array_equal(real_projection(Z), Z)
+
+
+@pytest.mark.filterwarnings("error")
+def test_real_projection_rejects_non_numeric():
+    for Z in ([["a"]], None, [[1.0, 2.0], [3.0]], [[{}]]):
+        with pytest.raises(InvalidInput):
+            real_projection(Z)
 
 
 def test_real_projection_never_grows_radii():

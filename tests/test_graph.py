@@ -256,6 +256,17 @@ def test_laplacian_invariant_violations():
         Laplacian(np.zeros((1, 1)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_numeric_matrices_rejected():
+    # not numeric, ragged, complex (a float cast would drop 1j)
+    for bad in ([["a"]], [[0.0, 1.0], [1.0]], [[{}]],
+                np.array([[0.0, 1.0 + 1j], [1.0 + 1j, 0.0]])):
+        with pytest.raises(InvalidInput, match="Laplacian"):
+            Laplacian(bad)
+        with pytest.raises(InvalidInput, match="weights"):
+            Topology(n_nodes=len(bad), directed=True, weights=bad)
+
+
 def test_topology_node_count_must_match_weights():
     with pytest.raises(InvalidInput, match="disagrees"):
         Topology(n_nodes=3, directed=False, weights=np.zeros((2, 2)))
