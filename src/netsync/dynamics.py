@@ -27,7 +27,10 @@ orthogonal to 1 (the master-stability split), so B = N maps of size n;
 any other Laplacian gives B = 1 dense map of the whole state in
 node-mean / disagreement coordinates.  Either way the disagreement
 evolves on its own, so the cross-node spread the metrics read stays at
-its own scale when the common mode grows without bound.
+its own scale when the common mode grows without bound.  The modal basis
+U is computed once per Laplacian and kept on it, as are ``||L||_inf``
+and the symmetry test, so every run on one Laplacian, by either
+simulator, shares them.
 
 A non-finite state truncates the trajectory at the last finite step and
 flags it; a divergent run still produces a synchronization report.  The
@@ -215,7 +218,7 @@ def _integrate_rk4(rhs: Callable[[np.ndarray], np.ndarray],
 
 
 def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
-                      L: np.ndarray, x0: np.ndarray,
+                      laplacian: Laplacian, x0: np.ndarray,
                       times: np.ndarray) -> Trajectory:
     """RK4 over a uniform grid for a linear network coupled through L.
 
@@ -225,8 +228,8 @@ def _integrate_linear(rhs: Callable[[np.ndarray], np.ndarray],
     right-hand side.  A symmetric L with finite ``2 ||L||_inf`` steps
     mode by mode, any other L densely.
     """
-    if np.array_equal(L, L.T) and math.isfinite(2.0 * _inf_norm(L)):
-        return _step_maps(*_mode_maps(rhs, L, x0, times), x0, times)
+    if laplacian._symmetric and math.isfinite(2.0 * laplacian._norm):
+        return _step_maps(*_mode_maps(rhs, laplacian, x0, times), x0, times)
     return _step_maps(*_dense_maps(rhs, x0, times), x0, times)
 
 
@@ -312,15 +315,16 @@ def _step_maps(Z: np.ndarray, start, rebuild, x0: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _mode_maps(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
-               x0: np.ndarray, times: np.ndarray) -> tuple:
+def _mode_maps(rhs: Callable[[np.ndarray], np.ndarray],
+               laplacian: Laplacian, x0: np.ndarray,
+               times: np.ndarray) -> tuple:
     """:func:`_step_maps`'s N maps of size n for a symmetric L.
 
     With ``L = U diag(lambda) U^T``, the network splits into the node
     mean and N - 1 n x n systems, one per eigenvector orthogonal to 1 (a
-    disconnected graph keeps its other zero modes).  U holds only those,
-    so the rounding of a large node mean, which grows with the mean,
-    never enters y.  Two sets of n probe states give every map: the mean
+    disconnected graph keeps its other zero modes).  U, the Laplacian's
+    modal basis, holds only those, so the rounding of a large node mean,
+    which grows with the mean, never enters y.  Two sets of n probe states give every map: the mean
     of the step of ``1 e_i^T`` is row i of the mean's map Z_0, and row k
     of ``U^T`` times the step of ``(U 1) e_i^T``, whose every modal
     coordinate is ``e_i^T``, is row i of mode k's map Z_k.  The
@@ -330,11 +334,7 @@ def _mode_maps(rhs: Callable[[np.ndarray], np.ndarray], L: np.ndarray,
     exactly, so no coordinate overflows before the states do.
     """
     N, n = x0.shape
-    # shifted by this multiple of 1 1^T / N, 1 / sqrt(N) has an eigenvalue
-    # above all of L's (they lie within ||L||_inf of 0), so eigh puts it
-    # last, separated, and the other columns are orthogonal to 1
-    shift = 1.0 + 2.0 * _inf_norm(L)
-    U = np.linalg.eigh(L + shift / N)[1][:, :-1]
+    U = laplacian._modal_basis
     probes = np.zeros((2, n, N, n))
     diagonal = np.arange(n)
     probes[0, diagonal, :, diagonal] = 1.0
@@ -433,7 +433,7 @@ def _warn_if_stiff(A, H_eff, sigma: float, laplacian: Laplacian,
     when the exact modulus times dt reaches the limit.
     """
     # Python floats: an overflow gives inf (or NaN) without a warning
-    beta = _inf_norm(A) + (float(sigma) * _inf_norm(laplacian.matrix)
+    beta = _inf_norm(A) + (float(sigma) * laplacian._norm
                            * _inf_norm(H_eff))
     if beta * float(dt) < _STABILITY_LIMIT * (1.0 - _STIFFNESS_BOUND_MARGIN):
         return
@@ -469,7 +469,7 @@ def simulate_linear(sys: LinearNetworkSystem, x0, t_end: float,
     def rhs(X):
         return X @ A_T + sigma * (L @ X) @ H_T
 
-    return _integrate_linear(rhs, L, x0, times)
+    return _integrate_linear(rhs, sys.laplacian, x0, times)
 
 
 def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
@@ -500,7 +500,7 @@ def simulate_agents(model: AgentModel, laplacian: Laplacian, x0,
         consensus_error = degrees[:, None] * X - adjacency @ X
         return X @ A_T + c * consensus_error @ BK_T
 
-    return _integrate_linear(rhs, L, x0, times)
+    return _integrate_linear(rhs, laplacian, x0, times)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ and safe to call from concurrent readers.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +70,12 @@ class Topology:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """An N x N Laplacian, N >= 2: zero row sums, nonpositive off-diagonal."""
+    """An N x N Laplacian, N >= 2: zero row sums, nonpositive off-diagonal.
+
+    ``_norm``, ``_symmetric`` and ``_modal_basis`` are computed from the
+    matrix when first read and kept; they are not fields, so equality and
+    repr see only the matrix.
+    """
 
     matrix: np.ndarray
 
@@ -79,15 +86,9 @@ class Laplacian:
         n = m.shape[0]
         if n < 2:
             raise InvalidInput("a Laplacian needs at least 2 nodes")
-        magnitude = np.abs(m)
-        # ||L||_inf bounds every eigenvalue; an overflowing degree makes it
-        # infinite, and the spectrum would hold inf or fail to converge
-        with np.errstate(over="ignore"):
-            norm = magnitude.sum(axis=1).max(initial=0.0)
-        if not np.isfinite(norm):
-            raise InvalidInput("Laplacian row norms must be finite: a node "
-                               "degree is non-finite or too large")
-        scale = max(1.0, magnitude.max())
+        object.__setattr__(self, "matrix", _freeze(m))
+        self._require_finite_norm()
+        scale = max(1.0, np.abs(m).max())
         row_sums = m.sum(axis=1)
         if np.abs(row_sums).max() > 1e-12 * n * scale:
             raise InvalidInput("Laplacian rows must sum to zero")
@@ -96,11 +97,52 @@ class Laplacian:
             raise InvalidInput("Laplacian off-diagonal entries must be <= 0")
         if np.diag(m).min(initial=0.0) < -1e-12 * scale:
             raise InvalidInput("Laplacian diagonal entries must be >= 0")
-        object.__setattr__(self, "matrix", _freeze(m))
+
+    @classmethod
+    def _built(cls, m: np.ndarray) -> Laplacian:
+        """The Laplacian of a new float matrix whose shape, signs and row
+        sums hold by construction; only its norm is checked."""
+        lap = object.__new__(cls)
+        object.__setattr__(lap, "matrix", _freeze(m))
+        lap._require_finite_norm()
+        return lap
+
+    def _require_finite_norm(self) -> None:
+        # ||L||_inf bounds every eigenvalue; an overflowing degree makes it
+        # infinite, and the spectrum would hold inf or fail to converge
+        if not math.isfinite(self._norm):
+            raise InvalidInput("Laplacian row norms must be finite: a node "
+                               "degree is non-finite or too large")
 
     @property
     def n_nodes(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def _norm(self) -> float:
+        """||L||_inf, the largest absolute row sum; inf when it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.abs(self.matrix).sum(axis=1).max())
+
+    @functools.cached_property
+    def _symmetric(self) -> bool:
+        return bool(np.array_equal(self.matrix, self.matrix.T))
+
+    @functools.cached_property
+    def _modal_basis(self) -> np.ndarray:
+        """For a symmetric L, an orthonormal N x (N - 1) basis U of
+        eigenvectors orthogonal to 1: the transverse modes, with the zero
+        modes of a disconnected graph other than 1 among them.
+
+        Shifted by ``(1 + 2 ||L||_inf) 1 1^T / N``, 1 / sqrt(N) has an
+        eigenvalue above all of L's (they lie within ||L||_inf of 0), so
+        eigh puts it last, separated, and the other columns are orthogonal
+        to 1.
+        """
+        shift = 1.0 + 2.0 * self._norm
+        U = np.linalg.eigh(self.matrix + shift / self.n_nodes)[1][:, :-1]
+        U.flags.writeable = False
+        return U
 
 
 @dataclass(frozen=True)
@@ -139,9 +181,9 @@ def build_laplacian(topology: Topology) -> Laplacian:
     rows of the result sum to zero exactly (up to float addition).
     """
     a = topology.weights
-    with np.errstate(over="ignore"):     # Laplacian rejects an inf degree
+    with np.errstate(over="ignore"):     # _built rejects an inf degree
         degrees = a.sum(axis=1)
-    return Laplacian(matrix=np.diag(degrees) - a)
+    return Laplacian._built(np.diag(degrees) - a)
 
 
 def spectrum(lap: Laplacian) -> LaplacianSpectrum:
@@ -162,18 +204,16 @@ def spectrum(lap: Laplacian) -> LaplacianSpectrum:
     EigensolverFailure
         If the dense eigensolver does not converge.
     """
-    m = lap.matrix
-    solver = np.linalg.eigvalsh if np.array_equal(m, m.T) else np.linalg.eigvals
+    solver = np.linalg.eigvalsh if lap._symmetric else np.linalg.eigvals
     try:
-        vals = solver(m)
+        vals = solver(lap.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigendecomposition failed: {exc}") from exc
 
     vals = vals.astype(complex, copy=False)
     vals = vals[np.lexsort((vals.imag, vals.real))]
 
-    scale = np.abs(m).sum(axis=1).max()
-    zero_tolerance = max(1e-9 * scale, 1e-12)
+    zero_tolerance = max(1e-9 * lap._norm, 1e-12)
 
     nonzero = vals[np.abs(vals) > zero_tolerance]
     if nonzero.size:

@@ -3,7 +3,8 @@
 Covers:
   - exact scalar consensus decay e^(-2t) against the integrator
   - synchronization-manifold invariance for all three simulators
-  - agent-network trajectory identity (the duality, step for step)
+  - agent-network trajectory identity (the duality, step for step), and
+    one eigh for the modal basis of one Laplacian across both simulators
   - open-loop agents against a matrix-exponential oracle
   - the chaotic probe pieces: vector field values, connection-matrix
     eigenvalues, Jacobian split vs finite differences, coupling design
@@ -512,7 +513,8 @@ def test_mode_path_spread_stays_at_its_scale_as_the_common_mode_grows():
     # not
     rng = np.random.default_rng(31)
     N = 12
-    L = build_laplacian(random_connected_topology(rng, N)).matrix
+    lap = build_laplacian(random_connected_topology(rng, N))
+    L = lap.matrix
     A = np.array([[0.5, 1.0], [-1.0, 0.5]])
     c = 1.5 / np.linalg.eigvalsh(L)[1]
 
@@ -521,7 +523,7 @@ def test_mode_path_spread_stays_at_its_scale_as_the_common_mode_grows():
 
     x0 = rng.uniform(-1, 1, (N, 2))
     times = dynamics._time_grid(140.0, 1e-2)
-    modes = dynamics._step_maps(*dynamics._mode_maps(rhs, L, x0, times), x0,
+    modes = dynamics._step_maps(*dynamics._mode_maps(rhs, lap, x0, times), x0,
                                 times)
     dense = dynamics._step_maps(*dynamics._dense_maps(rhs, x0, times), x0,
                                 times)
@@ -552,6 +554,32 @@ def test_agents_match_linear_step_for_step():
         sys = LinearNetworkSystem(A=A, H_eff=B @ K, sigma=c, laplacian=lap)
         traj_l = simulate_linear(sys, x0, 1.0, 1e-3)
         assert np.abs(traj_a.states - traj_l.states).max() <= 1e-9
+
+
+def test_one_laplacian_is_split_into_modes_once(monkeypatch):
+    # the modal basis is kept on the Laplacian: simulate_linear computes
+    # it, and simulate_agents and a second run on the same L reuse it
+    rng = np.random.default_rng(13)
+    lap = build_laplacian(random_connected_topology(rng, 6))
+    A = rng.normal(0, 1, (2, 2))
+    H = rng.normal(0, 1, (2, 2))
+    x0 = rng.uniform(-1, 1, (6, 2))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sys = LinearNetworkSystem(A=A, H_eff=H, sigma=0.5, laplacian=lap)
+    linear = simulate_linear(sys, x0, 0.5, 1e-2)
+    agents = simulate_agents(AgentModel(A=A, B=np.eye(2), K=H, c=0.5), lap,
+                             x0, 0.5, 1e-2)
+    again = simulate_linear(sys, x0, 0.5, 1e-2)
+    assert calls == [(6, 6)]
+    assert np.abs(linear.states - agents.states).max() <= 1e-9
+    assert np.array_equal(again.states, linear.states)
 
 
 def test_agents_open_loop_matches_matrix_exponential():

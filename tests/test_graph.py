@@ -1,7 +1,9 @@
 """Topology, Laplacian, and spectrum tests.
 
 Covers:
-  - L = D - A construction against hand-built and fixture matrices
+  - L = D - A construction against hand-built and fixture matrices, and
+    build_laplacian's unchecked construction bit for bit against the
+    validated constructor: matrix, ||L||_inf, symmetry and modal basis
   - spectrum regression: the path graph's closed-form eigenvalues
     2 - 2cos(k*pi/5), and the directed fixture's complex pair/theta_max
   - symmetric Laplacians through the symmetric solver: complete graphs
@@ -18,8 +20,9 @@ Covers:
     nonnegative undirected spectra, trace, and the eigenvalues against
     eigvalsh (undirected) or sum(lambda^2) = tr(L^2) (directed)
   - topology and Laplacian invariant rejection (a node count that
-    disagrees with the weights, a non-square or single-node Laplacian),
-    including degrees whose Laplacian row norms overflow
+    disagrees with the weights, a non-square or single-node Laplacian, a
+    negative diagonal within the other checks' tolerances), including
+    degrees whose Laplacian row norms overflow
   - topology JSON loading of a hand-written file, and rejection of
     malformed files (a non-object payload, a non-boolean "directed")
 """
@@ -51,6 +54,25 @@ from netsync.scenarios import load_fixture
 def test_two_node_laplacian():
     top = Topology(n_nodes=2, directed=False, weights=np.array([[0., 1.], [1., 0.]]))
     assert np.array_equal(build_laplacian(top).matrix, [[1., -1.], [-1., 1.]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 12),
+       directed=st.booleans())
+def test_built_laplacian_equals_the_validated_one(seed, n_nodes, directed):
+    # build_laplacian skips the checks its construction guarantees; what
+    # it keeps must be what the public constructor computes, bit for bit
+    top = random_connected_topology(np.random.default_rng(seed), n_nodes,
+                                    directed)
+    built = build_laplacian(top)
+    checked = Laplacian(matrix=np.array(built.matrix))
+    assert not built.matrix.flags.writeable
+    assert built.matrix.tobytes() == checked.matrix.tobytes()
+    assert built._norm == checked._norm
+    assert built._symmetric == checked._symmetric == (not directed)
+    if not directed:
+        assert built._modal_basis.tobytes() == checked._modal_basis.tobytes()
+        assert not built._modal_basis.flags.writeable
 
 
 def test_path_laplacian_matches_fixture():
@@ -254,6 +276,12 @@ def test_laplacian_invariant_violations():
     # a spectrum needs a second eigenvalue, and the simulators read one
     with pytest.raises(InvalidInput, match="at least 2 nodes"):
         Laplacian(np.zeros((1, 1)))
+    # rows summing to zero and off-diagonal entries within their 1e-12
+    # tolerance still leave a diagonal entry of -2e-12 to reject
+    with pytest.raises(InvalidInput, match="diagonal entries must be >= 0"):
+        Laplacian(np.array([[-2e-12, 1e-12, 1e-12],
+                            [-1.0, 1.0, 0.0],
+                            [0.0, -1.0, 1.0]]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -276,6 +304,7 @@ def test_topology_node_count_must_match_weights():
     ([[0.0, 1e308], [1e308, 0.0]], False),    # degree finite, 2 * degree not
     ([[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]], False),
     ([[0.0, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], True),
+    ([[0.0, 1e308], [0.0, 0.0]], True),     # directed, 2 * degree overflows
 ])
 def test_overflowing_degrees_rejected_without_warning(weights, directed):
     top = Topology(n_nodes=len(weights), directed=directed,
